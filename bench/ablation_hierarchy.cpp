@@ -19,7 +19,7 @@
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "core/hierarchy.hpp"
+#include "decoders/tier_chain.hpp"
 #include "matching/mwpm.hpp"
 #include "surface/frame.hpp"
 #include "surface/lattice.hpp"
@@ -48,9 +48,11 @@ main(int argc, char **argv)
     Table table({"uf_threshold", "clique_%", "uf_%", "mwpm_%",
                  "offchip_reduction_x", "logical_disagree_%"});
     for (const int threshold : {0, 1, 2, 4, 8}) {
-        HierarchyConfig config;
-        config.uf_growth_threshold = threshold;
-        const HierarchicalDecoder hier(code, CheckType::Z, config);
+        // Threshold 0 drops the UF tier: the paper's Clique -> MWPM.
+        const TierChain hier(code, CheckType::Z,
+                             threshold > 0
+                                 ? TierChainConfig::deep(threshold)
+                                 : TierChainConfig::legacy());
 
         Rng rng(seed);
         ErrorFrame frame(code, CheckType::X);
@@ -61,12 +63,12 @@ main(int argc, char **argv)
             frame.reset();
             frame.inject(p, rng);
             frame.measure_perfect(syndrome);
-            const auto result = hier.decode(syndrome);
+            const auto result = hier.decode_syndrome(syndrome);
             ++tier_count[static_cast<int>(result.tier)];
             if (result.tier != DecoderTier::Clique) {
                 ErrorFrame hier_frame = frame;
                 ErrorFrame mwpm_frame = frame;
-                hier_frame.apply_mask(result.correction);
+                hier_frame.apply_mask(result.decode.correction);
                 mwpm_frame.apply_mask(
                     mwpm.decode_syndrome(syndrome).correction);
                 disagreements += hier_frame.logical_flipped() !=

@@ -142,6 +142,17 @@ ctest --test-dir build-release --output-on-failure --no-tests=error \
       -j "${JOBS}"
 
 echo
+echo "== benchmark package: perfbench build + its own tests =="
+# perfbench/ is a CMake package of its own that compiles src/ and
+# drives the library through its public calls. Building it here makes
+# a removed or renamed src/ API that the benchmark uses fail CI, not
+# the benchmark run.
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-perfbench -j "${JOBS}" --target btwc_bench perfbench_tests
+ctest --test-dir build-perfbench --output-on-failure --no-tests=error \
+      -j "${JOBS}"
+
+echo
 echo "== Release smoke: examples/quickstart =="
 ./build-release/quickstart --distance 5 --p 0.003 --cycles 2000
 echo
@@ -241,8 +252,8 @@ echo "== decode fabric gate: btwc_run fabric-quick -> BENCH_fabric.json =="
 # The multi-tenant fabric leg: the pinned fabric-quick scenario (a
 # 2-link priority fabric with a hot tenant quartile and per-request
 # deadlines) runs single-threaded under deep audits — conservation
-# across links, the per-request starvation bound, and the FIFO
-# lockstep cursor are all re-proved every cycle — and its metrics
+# across links and the per-request starvation bound are re-proved
+# every cycle — and its metrics
 # subtree, including the per-link and per-tenant tables under
 # metrics.fabric, must match the committed artifact exactly.
 FRESH_FABRIC="build-release/BENCH_fabric.fresh.json"
@@ -311,6 +322,19 @@ else
     }
     echo "chaos soak OK (grep fallback)"
 fi
+# The benchmark's fabric-chaos workload (12 d=5 tenants, two flapping
+# links with failover) for 10k cycles under deep audits: tenants
+# migrate with requests outstanding, so this guards that every
+# timeout give-up reaches the link holding the request.
+FAILOVER_SPEC="kind=fabric,d=5,p=8e-3,policy=mwpm,fleet=12,links=2"
+FAILOVER_SPEC+=",scheduler=deadline,placement=least-loaded,deadline=8"
+FAILOVER_SPEC+=",hot_fraction=0.25,hot_mult=3,latency=2,bandwidth=1"
+FAILOVER_SPEC+=",timeout=12,retries=2,shed=true,migrate=32"
+FAILOVER_SPEC+=",faults=outage:500:60:0;spike:150:24:6;drop:0.04;dup:0.03"
+FAILOVER_SPEC+=";corrupt:0.04;surge:300:60:2:1,cycles=10000"
+./build-release/btwc_run "${FAILOVER_SPEC}" --threads 1 --audit deep \
+    > /dev/null
+echo "failover soak OK"
 
 echo
 echo "== micro benchmarks: micro_decoders -> BENCH_decoders.json =="

@@ -20,6 +20,7 @@
  */
 
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "api/registry.hpp"
@@ -173,8 +174,16 @@ main(int argc, char **argv)
         std::fprintf(stderr, "--repeat requires a positive count\n");
         return 2;
     }
-    Report report = repeat > 1 ? run_scenario_repeated(spec, repeat)
-                               : run_scenario(spec);
+    // A failed contract check (CheckFailure) or any other error inside
+    // the run is a diagnostic and exit 1, not an abort.
+    Report report;
+    try {
+        report = repeat > 1 ? run_scenario_repeated(spec, repeat)
+                            : run_scenario(spec);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "btwc_run: %s\n", e.what());
+        return 1;
+    }
     if (!name.empty()) {
         report.child("scenario").set("name", name);
     }

@@ -15,8 +15,8 @@ OffchipQueue::step(uint64_t new_requests)
 OffchipQueue::StepResult
 OffchipQueue::step(uint64_t new_requests, const StepFaults &faults)
 {
-    // Stall accounting mirrors StallController: a cycle stalls when
-    // the *previous* cycle ended with unserved backlog.
+    // Stall accounting (§5.2): a cycle stalls when the *previous*
+    // cycle ended with unserved backlog.
     const bool was_stall = stall_next_;
     ++total_cycles_;
     if (was_stall) {

@@ -37,21 +37,22 @@ struct OffchipQueueConfig
 };
 
 /**
- * Asynchronous off-chip decode service: a latency-L, bandwidth-B FIFO
- * queue (§5.2 of the paper, generalizing `StallController`).
+ * Asynchronous off-chip decode link: a latency-L, bandwidth-B FIFO
+ * queue (§5.2 of the paper).
  *
  * Each cycle, up to `bandwidth` queued requests enter service and
  * their results land `latency` cycles later; excess demand carries
  * over as backlog, and a cycle that ends with backlog forces the next
- * cycle to stall exactly like `StallController` (with `latency == 0`
- * the two are step-for-step identical — tested). On top of the stall
- * accounting the queue tracks the end-to-end queueing delay of every
- * request (enqueue to landing) and the size of every served batch,
- * the two observables the synchronous model cannot express.
+ * cycle to stall. With `latency == 0` this is the paper's stall
+ * model: the backlog follows the Lindley recursion
+ * W' = max(0, W + A - B) (tested). On top of the stall accounting the
+ * queue tracks the end-to-end queueing delay of every request (enqueue
+ * to landing) and the size of every served batch, the two observables
+ * the synchronous model cannot express.
  *
- * This class only counts requests; callers that need to carry decode
- * payloads (e.g. `BtwcSystem`) keep them in parallel FIFOs and use the
- * returned `StepResult` to know how many entries to move per cycle.
+ * This class only counts requests; `SharedOffchipService` carries the
+ * decode payloads alongside it and uses the returned `StepResult` to
+ * know how many entries to move per cycle.
  */
 class OffchipQueue
 {

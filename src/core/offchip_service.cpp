@@ -11,7 +11,8 @@ namespace btwc {
 SharedOffchipService::SharedOffchipService(const RotatedSurfaceCode &code,
                                            const TierChainConfig &tiers,
                                            OffchipQueueConfig link)
-    : queue_(link), tiers_(tiers), base_distance_(code.distance())
+    : queue_(link), tiers_(tiers), base_distance_(code.distance()),
+      scheduler_(make_scheduler(SchedulerKind::Fifo, 1))
 {
     const CheckType error_types[2] = {CheckType::X, CheckType::Z};
     chains_.reserve(2);
@@ -25,8 +26,7 @@ SharedOffchipService::set_scheduler(
     std::unique_ptr<FabricScheduler> scheduler)
 {
     BTWC_CHECK_MSG(scheduler != nullptr,
-                   "set_scheduler installs a discipline; the legacy "
-                   "path is the no-scheduler default");
+                   "set_scheduler installs a discipline");
     BTWC_CHECK_MSG(next_seq_ == 0,
                    "the serve discipline is fixed before the first "
                    "enqueue (a mid-run swap would tear the audit "
@@ -130,19 +130,14 @@ SharedOffchipService::set_fault_injector(
 void
 SharedOffchipService::enable_shedding(bool on)
 {
-    BTWC_CHECK_MSG(!on || scheduler_ != nullptr,
-                   "load shedding needs deadline stamps, which only "
-                   "scheduled mode records");
     shed_enabled_ = on;
 }
 
 SharedOffchipService::GiveUpResult
 SharedOffchipService::give_up(int owner, int half)
 {
-    BTWC_CHECK_MSG(scheduler_ != nullptr,
-                   "give-ups are a scheduled-mode (fabric) feature");
-    for (size_t i = 0; i < sched_waiting_.size(); ++i) {
-        const Request &request = sched_waiting_[i];
+    for (size_t i = 0; i < waiting_.size(); ++i) {
+        const Request &request = waiting_[i];
         if (request.synthetic || request.owner != owner ||
             request.half != half) {
             continue;
@@ -152,8 +147,7 @@ SharedOffchipService::give_up(int owner, int half)
         BTWC_CHECK_MSG(request.arrival_cycle < queue_.total_cycles(),
                        "give-ups target requests enqueued in past "
                        "cycles");
-        sched_waiting_.erase(sched_waiting_.begin() +
-                             static_cast<long>(i));
+        waiting_.erase(waiting_.begin() + static_cast<long>(i));
         queue_.shed(1);
         ++canceled_;
         ++tenant_slot(owner).canceled;
@@ -163,7 +157,7 @@ SharedOffchipService::give_up(int owner, int half)
     // earlier give-up; a surplus one is the live request to abandon.
     size_t inflight_matches = 0;
     for (size_t i = 0; i < inflight_.size(); ++i) {
-        const Delivery &other = inflight_.at(i);
+        const Delivery &other = inflight_.at(i).delivery;
         if (!other.synthetic && other.owner == owner &&
             other.half == half) {
             ++inflight_matches;
@@ -190,19 +184,15 @@ SharedOffchipService::enqueue_synthetic(int owner, uint64_t count)
         if (owner + 1 > owners_seen_) {
             owners_seen_ = owner + 1;
         }
-        if (scheduler_) {
-            // Deadline-stamped like real requests so admission control
-            // can shed expired ballast too — otherwise a surge beyond
-            // link bandwidth would grow the backlog without bound no
-            // matter what the degradation machinery does.
-            request.arrival_cycle = queue_.total_cycles();
-            const uint64_t budget = lane_of(owner).deadline;
-            request.deadline_cycle =
-                budget > 0 ? request.arrival_cycle + budget : 0;
-            sched_waiting_.push_back(std::move(request));
-        } else {
-            waiting_.push_back(std::move(request));
-        }
+        // Deadline-stamped like real requests so admission control
+        // can shed expired ballast too — otherwise a surge beyond link
+        // bandwidth would grow the backlog without bound no matter
+        // what the degradation machinery does.
+        request.arrival_cycle = queue_.total_cycles();
+        const uint64_t budget = lane_of(owner).deadline;
+        request.deadline_cycle =
+            budget > 0 ? request.arrival_cycle + budget : 0;
+        waiting_.push_back(std::move(request));
         ++fresh_;
         ++surge_enqueued_;
         ++synthetic_pending_;
@@ -225,15 +215,14 @@ SharedOffchipService::enqueue(Request request)
         // give-up leftover. The per-(owner, half) scan is bounded by
         // pending() <= 2 * owners (+ synthetics + stales).
         size_t outstanding = 0;
-        for (size_t i = 0; i < waiting_count(); ++i) {
-            const Request &other = waiting_at(i);
+        for (const Request &other : waiting_) {
             if (!other.synthetic && other.owner == request.owner &&
                 other.half == request.half) {
                 ++outstanding;
             }
         }
         for (size_t i = 0; i < inflight_.size(); ++i) {
-            const Delivery &other = inflight_.at(i);
+            const Delivery &other = inflight_.at(i).delivery;
             if (!other.synthetic && other.owner == request.owner &&
                 other.half == request.half) {
                 ++outstanding;
@@ -248,66 +237,46 @@ SharedOffchipService::enqueue(Request request)
     if (request.owner + 1 > owners_seen_) {
         owners_seen_ = request.owner + 1;
     }
-    if (scheduler_) {
-        // Arrival stamps: the queue enqueues this cycle's fresh batch
-        // at its current cycle counter, which equals total_cycles()
-        // here because the counter only advances at the end of step().
-        request.arrival_cycle = queue_.total_cycles();
-        const uint64_t budget = lane_of(request.owner).deadline;
-        request.deadline_cycle =
-            budget > 0 ? request.arrival_cycle + budget : 0;
-        ++tenant_slot(request.owner).enqueued;
-        sched_waiting_.push_back(std::move(request));
-    } else {
-        waiting_.push_back(std::move(request));
-    }
+    // Arrival stamps: the queue enqueues this cycle's fresh batch at
+    // its current cycle counter, which equals total_cycles() here
+    // because the counter only advances at the end of step().
+    request.arrival_cycle = queue_.total_cycles();
+    const uint64_t budget = lane_of(request.owner).deadline;
+    request.deadline_cycle =
+        budget > 0 ? request.arrival_cycle + budget : 0;
+    ++tenant_slot(request.owner).enqueued;
+    waiting_.push_back(std::move(request));
     ++fresh_;
 }
 
 std::vector<SharedOffchipService::Request>
 SharedOffchipService::take_served(uint64_t count)
 {
-    std::vector<Request> served;
-    served.reserve(count);
-    if (!scheduler_) {
-        for (uint64_t i = 0; i < count; ++i) {
-            served.push_back(waiting_.pop_front());
-        }
-        return served;
-    }
-    // Scheduled mode: the discipline picks which waiting request
-    // enters service, one slot at a time; the serve *count* came from
-    // the queue and is discipline-invariant (work conservation). The
-    // serve happens in the cycle the queue just finished counting.
+    // The discipline picks which waiting request enters service, one
+    // slot at a time; the serve *count* came from the queue and is
+    // discipline-invariant (work conservation). The serve happens in
+    // the cycle the queue just finished counting. Lanes are fixed
+    // within a step, so the views are built once and kept aligned
+    // with waiting_ as picks remove entries.
     const uint64_t serve_cycle = queue_.total_cycles() - 1;
     std::vector<SchedView> views;
+    views.reserve(waiting_.size());
+    for (const Request &request : waiting_) {
+        const TenantLane lane = lane_of(request.owner);
+        views.push_back(SchedView{request.owner, request.seq,
+                                  request.arrival_cycle,
+                                  request.deadline_cycle, lane.priority,
+                                  lane.weight});
+    }
+    std::vector<Request> served;
+    served.reserve(count);
     for (uint64_t slot = 0; slot < count; ++slot) {
-        views.clear();
-        views.reserve(sched_waiting_.size());
-        for (const Request &request : sched_waiting_) {
-            const TenantLane lane = lane_of(request.owner);
-            views.push_back(SchedView{request.owner, request.seq,
-                                      request.arrival_cycle,
-                                      request.deadline_cycle,
-                                      lane.priority, lane.weight});
-        }
         const size_t pick = scheduler_->pick(views, serve_cycle);
-        BTWC_CHECK_MSG(pick < sched_waiting_.size(),
+        BTWC_CHECK_MSG(pick < waiting_.size(),
                        "scheduler picks index a waiting request");
-        if (scheduler_->kind() == SchedulerKind::Fifo) {
-            // Lockstep with the legacy path: strict FIFO must serve
-            // the arrival sequence with no gaps or reordering.
-            if (audit_deep()) {
-                BTWC_CHECK_MSG(sched_waiting_[pick].seq ==
-                                   fifo_next_seq_,
-                               "FIFO discipline serves the exact "
-                               "arrival sequence (legacy lockstep)");
-            }
-            fifo_next_seq_ = sched_waiting_[pick].seq + 1;
-        }
-        served.push_back(std::move(sched_waiting_[pick]));
-        sched_waiting_.erase(sched_waiting_.begin() +
-                             static_cast<long>(pick));
+        served.push_back(std::move(waiting_[pick]));
+        waiting_.erase(waiting_.begin() + static_cast<long>(pick));
+        views.erase(views.begin() + static_cast<long>(pick));
     }
     return served;
 }
@@ -353,14 +322,10 @@ SharedOffchipService::serve_decode(std::vector<Request> served)
         }
     }
     for (size_t i = 0; i < served.size(); ++i) {
-        if (scheduler_) {
-            inflight_meta_.push_back(
-                LandMeta{served[i].owner, served[i].arrival_cycle,
-                         served[i].deadline_cycle});
-        }
-        inflight_.push_back(Delivery{served[i].owner, served[i].half,
-                                     std::move(corrections[i]),
-                                     served[i].synthetic});
+        inflight_.push_back(InFlight{
+            Delivery{served[i].owner, served[i].half,
+                     std::move(corrections[i]), served[i].synthetic},
+            served[i].arrival_cycle, served[i].deadline_cycle});
     }
 }
 
@@ -379,8 +344,8 @@ SharedOffchipService::stale_count(int owner, int half) const
 void
 SharedOffchipService::shed_expired(uint64_t now)
 {
-    for (size_t i = 0; i < sched_waiting_.size();) {
-        const Request &request = sched_waiting_[i];
+    for (size_t i = 0; i < waiting_.size();) {
+        const Request &request = waiting_[i];
         if (request.deadline_cycle == 0 ||
             request.deadline_cycle >= now) {
             ++i;
@@ -400,8 +365,7 @@ SharedOffchipService::shed_expired(uint64_t now)
             shed_nacks_.push_back(
                 Delivery{request.owner, request.half, {}, false});
         }
-        sched_waiting_.erase(sched_waiting_.begin() +
-                             static_cast<long>(i));
+        waiting_.erase(waiting_.begin() + static_cast<long>(i));
         queue_.shed(1);
     }
 }
@@ -432,8 +396,8 @@ SharedOffchipService::step()
     const OffchipQueue::StepResult sr = queue_.step(fresh_, faults);
     fresh_ = 0;
 
-    // Serve: pop the requests entering service this cycle (FIFO across
-    // owners, or per the installed discipline) and decode them.
+    // Serve: pop the requests entering service this cycle (in the
+    // installed discipline's order) and decode them.
     // Non-oracle requests are grouped per (distance, half, resume
     // tier) and decoded through one decode_batch_from call each -- the
     // fleet-scale amortization the shared link exists to expose: a
@@ -445,19 +409,15 @@ SharedOffchipService::step()
         serve_decode(take_served(sr.served));
     }
 
-    // Land: hand back every correction whose latency elapsed. In
-    // scheduled mode, this is also where delays and deadline misses
-    // are accounted (mirroring the queue's land-time delay recording,
-    // but per request and per tenant, since the queue's FIFO delay
-    // groups stop matching individual requests once a discipline
-    // re-orders service).
+    // Land: hand back every correction whose latency elapsed. This is
+    // also where delays and deadline misses are accounted (mirroring
+    // the queue's land-time delay recording, but per request and per
+    // tenant, since the queue's FIFO delay groups stop matching
+    // individual requests once a discipline re-orders service).
     landed_now_.clear();
     for (uint64_t i = 0; i < sr.landed; ++i) {
-        Delivery delivery = inflight_.pop_front();
-        LandMeta meta;
-        if (scheduler_) {
-            meta = inflight_meta_.pop_front();
-        }
+        InFlight landing = inflight_.pop_front();
+        Delivery &delivery = landing.delivery;
         const uint64_t land_index = landed_index_++;
 
         // Synthetic surge ballast consumed its link slot; swallow it.
@@ -498,21 +458,19 @@ SharedOffchipService::step()
                 land_index, delivery.correction.size())] ^= 1;
             ++corrupted_;
         }
-        if (scheduler_) {
-            const uint64_t land_cycle = queue_.total_cycles() - 1;
-            uint64_t delay = land_cycle - meta.arrival_cycle;
-            if (delay > OffchipQueue::kMaxRecordedDelay) {
-                delay = OffchipQueue::kMaxRecordedDelay;
-            }
-            delay_.add(delay);
-            TenantLinkStats &tenant = tenant_slot(meta.owner);
-            ++tenant.landed;
-            tenant.delay.add(delay);
-            if (meta.deadline_cycle > 0 &&
-                land_cycle > meta.deadline_cycle) {
-                ++deadline_misses_;
-                ++tenant.deadline_misses;
-            }
+        const uint64_t land_cycle = queue_.total_cycles() - 1;
+        uint64_t delay = land_cycle - landing.arrival_cycle;
+        if (delay > OffchipQueue::kMaxRecordedDelay) {
+            delay = OffchipQueue::kMaxRecordedDelay;
+        }
+        delay_.add(delay);
+        TenantLinkStats &tenant = tenant_slot(delivery.owner);
+        ++tenant.landed;
+        tenant.delay.add(delay);
+        if (landing.deadline_cycle > 0 &&
+            land_cycle > landing.deadline_cycle) {
+            ++deadline_misses_;
+            ++tenant.deadline_misses;
         }
         ++delivered_;
         const bool duplicate =
@@ -539,22 +497,17 @@ void
 SharedOffchipService::audit() const
 {
     queue_.audit();
-    BTWC_CHECK_MSG(waiting_count() == queue_.backlog() + fresh_,
+    BTWC_CHECK_MSG(waiting_.size() == queue_.backlog() + fresh_,
                    "payload waiting entries track the counting "
                    "queue's backlog plus the not-yet-stepped fresh "
                    "demand");
     BTWC_CHECK_MSG(inflight_.size() == queue_.in_flight(),
                    "payload in-flight FIFO tracks the counting queue");
-    if (scheduler_) {
-        BTWC_CHECK_MSG(inflight_meta_.size() == inflight_.size(),
-                       "landing metadata rides in lockstep with the "
-                       "in-flight payloads");
-    }
 
-    for (size_t i = 0; i < waiting_count(); ++i) {
-        const Request &request = waiting_at(i);
+    for (size_t i = 0; i < waiting_.size(); ++i) {
+        const Request &request = waiting_[i];
         if (i > 0) {
-            BTWC_CHECK_MSG(request.seq > waiting_at(i - 1).seq,
+            BTWC_CHECK_MSG(request.seq > waiting_[i - 1].seq,
                            "waiting requests stay in arrival order "
                            "(picks remove entries, never re-order)");
         }
@@ -563,18 +516,18 @@ SharedOffchipService::audit() const
         }
         // <= 1 live outstanding per (owner, half): every other entry
         // for this half (earlier waiting, or in flight) is covered by
-        // a stale give-up key. With no give-ups this is exactly the
-        // legacy "no duplicate waiting, nothing in flight" pair.
+        // a stale give-up key. With no give-ups this is exactly "no
+        // duplicate waiting, nothing in flight".
         size_t others = 0;
         for (size_t j = 0; j < i; ++j) {
-            const Request &other = waiting_at(j);
+            const Request &other = waiting_[j];
             if (!other.synthetic && other.owner == request.owner &&
                 other.half == request.half) {
                 ++others;
             }
         }
         for (size_t j = 0; j < inflight_.size(); ++j) {
-            const Delivery &other = inflight_.at(j);
+            const Delivery &other = inflight_.at(j).delivery;
             if (!other.synthetic && other.owner == request.owner &&
                 other.half == request.half) {
                 ++others;
@@ -585,7 +538,7 @@ SharedOffchipService::audit() const
                        "at most one live outstanding request per "
                        "(owner, half) beyond stale give-up leftovers");
     }
-    if (scheduler_ && owners_seen_ > 0 &&
+    if (owners_seen_ > 0 &&
         !(injector_ && injector_->plan().any_faults())) {
         // No starvation beyond the discipline's aging bound: every
         // waiting request's age stays under the sound (loose) bound
@@ -598,7 +551,7 @@ SharedOffchipService::audit() const
         const uint64_t bound = scheduler_->starvation_bound(
             owners_seen_, queue_.config().bandwidth, lane_extremes());
         const uint64_t now = queue_.total_cycles();
-        for (const Request &request : sched_waiting_) {
+        for (const Request &request : waiting_) {
             const uint64_t age = now >= request.arrival_cycle
                                      ? now - request.arrival_cycle
                                      : 0;
@@ -608,13 +561,13 @@ SharedOffchipService::audit() const
         }
     }
     for (size_t i = 0; i < inflight_.size(); ++i) {
-        const Delivery &delivery = inflight_.at(i);
+        const Delivery &delivery = inflight_.at(i).delivery;
         if (delivery.synthetic) {
             continue;
         }
         size_t others = 0;
         for (size_t j = i + 1; j < inflight_.size(); ++j) {
-            const Delivery &other = inflight_.at(j);
+            const Delivery &other = inflight_.at(j).delivery;
             if (!other.synthetic && other.owner == delivery.owner &&
                 other.half == delivery.half) {
                 ++others;

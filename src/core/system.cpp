@@ -18,10 +18,7 @@ classify_decode(const TierChain::Result &outcome)
 
 BtwcSystem::BtwcSystem(const RotatedSurfaceCode &code, NoiseParams noise,
                        SystemConfig config, uint64_t seed)
-    : code_(code), noise_(noise), config_(std::move(config)), rng_(seed),
-      queue_(OffchipQueueConfig{config_.offchip_bandwidth,
-                                config_.offchip_latency,
-                                config_.offchip_batch})
+    : code_(code), noise_(noise), config_(std::move(config)), rng_(seed)
 {
     const CheckType error_types[2] = {CheckType::X, CheckType::Z};
     for (const CheckType err : error_types) {
@@ -37,15 +34,16 @@ BtwcSystem::step()
     const int num_types = config_.track_both_types ? 2 : 1;
     const bool queued = config_.service == OffchipService::Queued;
 
-    // Phase 0 (graceful degradation, shared tenants only): time out
-    // halves whose off-chip request has been outstanding past the
-    // backoff-scaled budget. The give-up frees the half; with retries
-    // left the persisting signature re-escalates naturally in phase 2
-    // (that re-enqueue *is* the retry), otherwise the on-chip UF
-    // fallback resolves the half right now instead of waiting on a
-    // dead link — a degraded decode, weaker than the off-chip tier
-    // but bounded in time.
-    if (shared_ != nullptr && config_.offchip_timeout > 0) {
+    // Phase 0 (graceful degradation): time out halves whose off-chip
+    // request has been outstanding past the backoff-scaled budget. The
+    // give-up goes to the link the request was enqueued on (a failover
+    // may have re-attached this tenant since) and frees the half; with
+    // retries left the persisting signature re-escalates naturally in
+    // phase 2 (that re-enqueue *is* the retry), otherwise the on-chip
+    // UF fallback resolves the half right now instead of waiting on a
+    // dead link — a degraded decode, weaker than the off-chip tier but
+    // bounded in time.
+    if (config_.offchip_timeout > 0) {
         for (int t = 0; t < num_types; ++t) {
             if (!half_busy_[t]) {
                 continue;
@@ -56,7 +54,7 @@ BtwcSystem::step()
             if (waited < (config_.offchip_timeout << shift)) {
                 continue;
             }
-            shared_->give_up(owner_, t);
+            half_link_[t]->give_up(owner_, t);
             half_busy_[t] = false;
             if (half_retries_[t] < config_.offchip_retries) {
                 ++half_retries_[t];
@@ -122,7 +120,6 @@ BtwcSystem::step()
     // synchronous Inline off-chip decode) apply that tier's
     // correction; escalated halves either enqueue (Queued) or resolve
     // immediately (Inline: oracle reset).
-    uint64_t fresh = 0;
     for (int t = 0; t < num_types; ++t) {
         ErrorFrame &frame = frames_[t];
         TierChain::Result &outcome = halves_[t].outcome;
@@ -164,10 +161,12 @@ BtwcSystem::step()
                 // the residual that re-escalates after the landing.
                 ++suppressed_;
                 ++report.suppressed;
-            } else if (shared_ != nullptr) {
-                // Shared-link tenancy: tag the request and hand it to
-                // the fleet's service; the link advances once per
-                // machine cycle in the harness, not here.
+            } else {
+                // Tag the request and hand it to the link: the shared
+                // one advances once per machine cycle in the fleet
+                // harness, the private one in phase 3 below.
+                SharedOffchipService *link =
+                    shared_ != nullptr ? shared_ : &private_link();
                 SharedOffchipService::Request request;
                 request.owner = owner_;
                 request.half = t;
@@ -179,22 +178,10 @@ BtwcSystem::step()
                 } else {
                     halves_[t].filter.filtered().to_bytes(request.payload);
                 }
-                shared_->enqueue(std::move(request));
+                link->enqueue(std::move(request));
+                half_link_[t] = link;
                 half_busy_[t] = true;
                 half_busy_since_[t] = cycles_;
-                ++report.queued;
-            } else {
-                PendingDecode request;
-                request.half = t;
-                request.tier_index = outcome.tier_index;
-                if (config_.offchip == OffchipPolicy::Oracle) {
-                    request.payload = frame.error();
-                } else {
-                    halves_[t].filter.filtered().to_bytes(request.payload);
-                }
-                waiting_.push_back(std::move(request));
-                half_busy_[t] = true;
-                ++fresh;
                 ++report.queued;
             }
         }
@@ -204,7 +191,7 @@ BtwcSystem::step()
         // no silent oracle fix under a real-decode policy.
     }
 
-    // Phase 3: advance the off-chip service one cycle -- serve queued
+    // Phase 3: advance the private link one cycle -- serve queued
     // escalations (batched per decoder) and apply every correction
     // whose latency elapsed. With the default zero-latency unlimited-
     // bandwidth link this lands this cycle's own corrections, which
@@ -213,7 +200,12 @@ BtwcSystem::step()
     // once per machine cycle after every tenant stepped, and landed
     // corrections arrive via deliver_offchip_correction.
     if (queued && shared_ == nullptr) {
-        service_offchip(fresh, report);
+        SharedOffchipService &link = private_link();
+        for (const SharedOffchipService::Delivery &landing : link.step()) {
+            deliver_offchip_correction(landing.half, landing.correction);
+            ++report.landed;
+        }
+        report.queue_backlog = link.queue().backlog();
     }
 
     ++cycles_;
@@ -230,39 +222,25 @@ BtwcSystem::audit_offchip_state() const
         half.raw.audit();
         half.filter.filtered().audit();
     }
-    if (config_.service != OffchipService::Queued) {
-        return;
+    if (private_link_ != nullptr && shared_ == nullptr) {
+        // Payloads live on the link (audited there every step); the
+        // busy flags must mirror its outstanding requests exactly.
+        BTWC_CHECK_MSG(private_link_->pending() == pending_offchip(),
+                       "private link pending requests == busy halves");
     }
-    if (shared_ != nullptr) {
-        // Shared-link tenancy: payloads live on the service (audited
-        // there); locally only the busy flags track outstanding work.
-        return;
+}
+
+SharedOffchipService &
+BtwcSystem::private_link() const
+{
+    if (private_link_ == nullptr) {
+        private_link_ = std::make_unique<SharedOffchipService>(
+            code_, config_.tiers,
+            OffchipQueueConfig{config_.offchip_bandwidth,
+                               config_.offchip_latency,
+                               config_.offchip_batch});
     }
-    queue_.audit();
-    BTWC_CHECK_MSG(waiting_.size() == queue_.backlog(),
-                   "payload waiting FIFO tracks the counting queue");
-    BTWC_CHECK_MSG(inflight_.size() == queue_.in_flight(),
-                   "payload in-flight FIFO tracks the counting queue");
-    BTWC_CHECK_MSG(waiting_.size() + inflight_.size() <= 2,
-                   "the one-request-per-half contract bounds pending "
-                   "work at two entries");
-    int outstanding[2] = {0, 0};
-    for (size_t i = 0; i < waiting_.size(); ++i) {
-        const int half = waiting_.at(i).half;
-        BTWC_CHECK(half == 0 || half == 1);
-        ++outstanding[half];
-    }
-    for (size_t i = 0; i < inflight_.size(); ++i) {
-        const int half = inflight_.at(i).half;
-        BTWC_CHECK(half == 0 || half == 1);
-        ++outstanding[half];
-    }
-    for (int half = 0; half < 2; ++half) {
-        BTWC_CHECK_MSG(outstanding[half] <= 1,
-                       "at most one outstanding request per half");
-        BTWC_CHECK_MSG((outstanding[half] == 1) == half_busy_[half],
-                       "half_busy_ mirrors the outstanding request");
-    }
+    return *private_link_;
 }
 
 void
@@ -295,77 +273,6 @@ BtwcSystem::deliver_offchip_correction(
     frames_[static_cast<size_t>(half)].apply_mask(correction);
     half_retries_[half] = 0;
     ++shared_landed_;
-}
-
-void
-BtwcSystem::service_offchip(uint64_t fresh, CycleReport &report)
-{
-    const OffchipQueue::StepResult sr = queue_.step(fresh);
-
-    // Serve: pop the requests entering service this cycle (FIFO) and
-    // decode them, grouped per half through that half's
-    // decode_batch_from path. Within one logical qubit the
-    // one-outstanding-request-per-half contract bounds each group at
-    // a single request -- real multi-request batches need a service
-    // shared across qubits (see ROADMAP) -- but routing through the
-    // batched API here means such a service amortizes for free.
-    // Results enter the in-flight FIFO in the original serve order,
-    // matching the queue's landing order.
-    if (sr.served > 0) {
-        std::vector<PendingDecode> served;
-        served.reserve(sr.served);
-        for (uint64_t i = 0; i < sr.served; ++i) {
-            served.push_back(waiting_.pop_front());
-        }
-        std::vector<std::vector<uint8_t>> corrections(served.size());
-        for (size_t h = 0; h < halves_.size(); ++h) {
-            std::vector<size_t> members;
-            for (size_t i = 0; i < served.size(); ++i) {
-                if (served[i].half == static_cast<int>(h)) {
-                    members.push_back(i);
-                }
-            }
-            if (members.empty()) {
-                continue;
-            }
-            if (config_.offchip == OffchipPolicy::Oracle) {
-                // The payload already is the oracle's "correction":
-                // the escalation-time error state.
-                for (const size_t i : members) {
-                    corrections[i] = std::move(served[i].payload);
-                }
-                continue;
-            }
-            std::vector<std::vector<DetectionEvent>> batch;
-            batch.reserve(members.size());
-            for (const size_t i : members) {
-                batch.push_back(
-                    events_from_syndrome(served[i].payload));
-            }
-            std::vector<TierChain::Result> results =
-                halves_[h].chain.decode_batch_from(
-                    static_cast<size_t>(served[members[0]].tier_index),
-                    batch, 1);
-            for (size_t i = 0; i < members.size(); ++i) {
-                corrections[members[i]] =
-                    std::move(results[i].decode.correction);
-            }
-        }
-        for (size_t i = 0; i < served.size(); ++i) {
-            inflight_.push_back(InflightCorrection{
-                served[i].half, std::move(corrections[i])});
-        }
-    }
-
-    // Land: apply every correction whose latency elapsed and free the
-    // half for its next escalation.
-    for (uint64_t i = 0; i < sr.landed; ++i) {
-        const InflightCorrection landing = inflight_.pop_front();
-        frames_[landing.half].apply_mask(landing.correction);
-        half_busy_[landing.half] = false;
-        ++report.landed;
-    }
-    report.queue_backlog = queue_.backlog();
 }
 
 } // namespace btwc

@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/fifo.hpp"
 #include "common/rng.hpp"
 #include "core/clique.hpp"
 #include "core/filter.hpp"
@@ -37,8 +36,9 @@ enum class OffchipPolicy : uint8_t { Oracle = 0, Mwpm = 1 };
  * How escalated signatures reach the off-chip tier.
  *
  * `Queued` (the default) models the paper's actual machine: escalated
- * signatures are enqueued on a latency/bandwidth-limited link
- * (core/offchip_queue.hpp) and their corrections land cycles later.
+ * signatures are enqueued on a latency/bandwidth-limited link (a
+ * `SharedOffchipService`, core/offchip_service.hpp) and their
+ * corrections land cycles later.
  * With the default zero-latency unlimited-bandwidth service it
  * reproduces the synchronous results bit-for-bit (tested). `Inline`
  * is the historical synchronous model — escalations resolve within
@@ -75,10 +75,10 @@ struct SystemConfig
     uint64_t offchip_bandwidth = 0;
     uint64_t offchip_batch = 0;
     /**
-     * Graceful degradation under link faults (shared-link tenants
-     * only; 0 disables it, the bit-exact default). A half whose
-     * off-chip request has been outstanding for `offchip_timeout`
-     * cycles gives the request up (core/offchip_service.hpp) and
+     * Graceful degradation under link faults (0 disables it, the
+     * bit-exact default). A half whose off-chip request has been
+     * outstanding for `offchip_timeout` cycles gives the request up,
+     * on the link it was enqueued on (core/offchip_service.hpp), and
      * either re-escalates — up to `offchip_retries` times per
      * signature, each retry doubling the timeout budget (exponential
      * backoff) — or, with retries exhausted, decodes the half's
@@ -150,13 +150,12 @@ CliqueVerdict classify_decode(const TierChain::Result &outcome);
  * first, rare escalation to Union-Find and/or off-chip matching).
  *
  * `step()` advances one code cycle and reports the classification the
- * bandwidth allocator consumes. Under the default `Queued` service,
- * escalated signatures are enqueued on the off-chip link
- * (core/offchip_queue.hpp) and their corrections land
- * `offchip_latency` cycles later, persisting through the filter
- * window; intervening errors stay on the lattice and re-escalate
- * after the landing, which is how late corrections are reconciled
- * against syndromes that changed in flight.
+ * fleet's bandwidth provisioning consumes. Under the default `Queued`
+ * service, escalated signatures are enqueued on the off-chip link and
+ * their corrections land `offchip_latency` cycles later, persisting
+ * through the filter window; intervening errors stay on the lattice
+ * and re-escalate after the landing, which is how late corrections
+ * are reconciled against syndromes that changed in flight.
  *
  * Reconciliation contract: each half has at most one outstanding
  * off-chip request, and while it is in flight the half applies no
@@ -172,9 +171,12 @@ CliqueVerdict classify_decode(const TierChain::Result &outcome);
  * applying overlapping corrections from both paths -- would
  * double-correct and oscillate.
  *
- * The bandwidth/stall machinery lives in `core/bandwidth.hpp` /
- * `core/stall.hpp` / `core/offchip_queue.hpp` and the multi-qubit
- * machine model in `sim/fleet.hpp`.
+ * The link is a `SharedOffchipService`: a stand-alone system runs a
+ * private single-tenant one (owner 0, built on first use from the
+ * `offchip_*` fields), and a fleet tenant attaches to one shared with
+ * the rest of the machine. The stall/backlog accounting lives in
+ * `core/offchip_queue.hpp` and the multi-qubit machine model in
+ * `sim/fleet.hpp`.
  */
 class BtwcSystem
 {
@@ -188,24 +190,27 @@ class BtwcSystem
     /**
      * Become tenant `owner` of a shared multi-tenant off-chip link
      * (core/offchip_service.hpp): escalations are enqueued on
-     * `service` tagged with `owner` instead of on the private queue,
+     * `service` tagged with `owner` instead of on the private link,
      * and phase 3 is skipped -- the fleet harness advances the shared
      * link once per machine cycle (after every tenant stepped) and
      * routes landed corrections back via
-     * `deliver_offchip_correction`. The private `offchip_queue()`
-     * stays idle; link accounting lives on the service. Only
-     * meaningful under the Queued service, before the first step.
-     * With a zero-latency unlimited-bandwidth shared link the cycle
-     * statistics are bit-exact with the private-queue path (tested).
+     * `deliver_offchip_correction`. The private link stays unbuilt
+     * unless `offchip_queue()` is read; link accounting lives on the
+     * service. Only meaningful under the Queued service. Re-attaching
+     * (failover) moves future escalations only: an outstanding
+     * request stays on, and is given up on, the link it was enqueued
+     * on. With a zero-latency unlimited-bandwidth shared link the
+     * cycle statistics are bit-exact with the private-link path
+     * (tested).
      */
     void attach_shared_service(SharedOffchipService *service, int owner);
 
     /**
-     * Apply a correction the shared service routed back to `half`
+     * Apply a correction the off-chip link routed back to `half`
      * (error-type index) and free that half for its next escalation.
-     * Counterpart of the private path's landing step; the
-     * reconciliation contract (one outstanding request per half, no
-     * corrections while in flight) is identical.
+     * The private link's landings take the same path in phase 3. An
+     * empty correction is a shed nack: it frees the half without
+     * touching the frame.
      */
     void deliver_offchip_correction(int half,
                                     const std::vector<uint8_t> &correction);
@@ -225,8 +230,14 @@ class BtwcSystem
     /** Active configuration. */
     const SystemConfig &config() const { return config_; }
 
-    /** The off-chip service queue (Queued service accounting). */
-    const OffchipQueue &offchip_queue() const { return queue_; }
+    /**
+     * The private link's queue (Queued service accounting). Builds the
+     * private link on first use, so it is valid before the first step.
+     */
+    const OffchipQueue &offchip_queue() const
+    {
+        return private_link().queue();
+    }
 
     /** Decodes deferred to an outstanding request (see above). */
     uint64_t suppressed_escalations() const { return suppressed_; }
@@ -234,13 +245,10 @@ class BtwcSystem
     /** Requests enqueued or in flight whose correction has not landed. */
     size_t pending_offchip() const
     {
-        if (shared_ != nullptr) {
-            return (half_busy_[0] ? 1u : 0u) + (half_busy_[1] ? 1u : 0u);
-        }
-        return waiting_.size() + inflight_.size();
+        return (half_busy_[0] ? 1u : 0u) + (half_busy_[1] ? 1u : 0u);
     }
 
-    /** Corrections the shared service delivered to this tenant. */
+    /** Corrections the off-chip link delivered to this tenant. */
     uint64_t shared_landed() const { return shared_landed_; }
 
     /** Timed-out requests given up and re-escalated (backoff). */
@@ -286,37 +294,15 @@ class BtwcSystem
         TierChain::Result outcome;
     };
 
-    /** An escalation waiting for link capacity. */
-    struct PendingDecode
-    {
-        int half = 0;        ///< halves_/frames_ index
-        int tier_index = 0;  ///< first off-chip tier (resume point)
-        /**
-         * Snapshot taken at escalation time: the filtered syndrome
-         * (Mwpm policy, decoded when served) or the true error state
-         * (Oracle policy, applied as-is when it lands — the oracle
-         * stand-in for the off-chip result).
-         */
-        std::vector<uint8_t> payload;
-    };
-
-    /** A served decode whose correction is in flight back on-chip. */
-    struct InflightCorrection
-    {
-        int half = 0;
-        std::vector<uint8_t> correction;  ///< per-data-qubit flip mask
-    };
-
-    /** Serve and land queued escalations for one cycle (phase 3). */
-    void service_offchip(uint64_t fresh, CycleReport &report);
+    /** The private single-tenant link, built on first use. */
+    SharedOffchipService &private_link() const;
 
     /**
-     * Verify the reconciliation contract after a cycle: payload FIFOs
-     * in lockstep with the counting queue, at most one outstanding
-     * request per half (so waiting + in-flight <= 2), every
-     * outstanding entry's half flagged busy and vice versa, and the
-     * per-cycle syndrome/filter tail-word invariants. Runs at the end
-     * of step() under AuditLevel::Deep; throws CheckFailure.
+     * Verify the reconciliation contract after a cycle: the private
+     * link's pending requests equal the busy halves (one outstanding
+     * request per half, flagged busy exactly while outstanding), and
+     * the per-cycle syndrome/filter tail-word invariants. Runs at the
+     * end of step() under AuditLevel::Deep; throws CheckFailure.
      */
     void audit_offchip_state() const;
 
@@ -328,28 +314,20 @@ class BtwcSystem
     std::vector<Half> halves_;        ///< indexed by error type
     uint64_t cycles_ = 0;
 
-    // Queued off-chip service state. `queue_` does the counting and
-    // scheduling; `waiting_` / `inflight_` carry the payloads in the
-    // same FIFO order, so the queue's per-cycle served/landed counts
-    // say exactly how many entries to move. (The at-most-one-
-    // outstanding-request-per-half contract bounds both at two
-    // entries.)
-    OffchipQueue queue_;
-    HeadFifo<PendingDecode> waiting_;
-    HeadFifo<InflightCorrection> inflight_;
-    bool half_busy_[2] = {false, false};
-    uint64_t suppressed_ = 0;
-
-    // Shared-link tenancy (attach_shared_service): non-null routes
-    // every escalation to the external service instead of `queue_`.
+    // Queued off-chip service state: the private link (owner 0; built
+    // on first use, never for shared tenants), the shared link when
+    // attached, and the link each busy half's request went to.
+    mutable std::unique_ptr<SharedOffchipService> private_link_;
     SharedOffchipService *shared_ = nullptr;
     int owner_ = 0;
+    SharedOffchipService *half_link_[2] = {nullptr, nullptr};
+    bool half_busy_[2] = {false, false};
+    uint64_t suppressed_ = 0;
     uint64_t shared_landed_ = 0;
 
-    // Graceful degradation (offchip_timeout > 0, shared tenants): the
-    // cycle each half's outstanding request was enqueued, its
-    // consecutive-retry count (the backoff exponent), and the
-    // outcome counters.
+    // Graceful degradation (offchip_timeout > 0): the cycle each
+    // half's outstanding request was enqueued, its consecutive-retry
+    // count (the backoff exponent), and the outcome counters.
     uint64_t half_busy_since_[2] = {0, 0};
     int half_retries_[2] = {0, 0};
     uint64_t retried_ = 0;

@@ -119,8 +119,8 @@ run_fabric(const FabricFleetConfig &config)
     validate_tenant_profile(fleet);
     // Codes are immutable and shared across shards, mirroring
     // fleet_demand_exact_stats (same construction order, same RNG
-    // seeding) so the FIFO/K=1/uniform corner stays bit-exact with the
-    // legacy shared-link path.
+    // seeding) so the FIFO/K=1/uniform corner stays bit-exact with its
+    // single shared link.
     const RotatedSurfaceCode code(fleet.distance);
     std::map<int, RotatedSurfaceCode> extra_codes;
     for (const int d : fleet.tenant_distances) {

@@ -167,7 +167,7 @@ struct FabricStats
  * `fleet.threads` workers, each simulating an independent fleet
  * instance; tenant construction order and RNG seeding mirror
  * `fleet_demand_exact_stats` exactly, which is what makes the
- * FIFO/K=1/uniform corner bit-exact with the legacy shared link.
+ * FIFO/K=1/uniform corner bit-exact with its single shared link.
  */
 FabricStats run_fabric(const FabricFleetConfig &config);
 

@@ -65,8 +65,7 @@ namespace {
 /**
  * Strict FIFO through the scheduler hook: always the oldest waiting
  * request. `waiting` is kept in arrival order by the service, so this
- * is index 0 — the lockstep reference the FIFO-vs-legacy equivalence
- * tests pin.
+ * is index 0.
  */
 class FifoScheduler final : public FabricScheduler
 {

@@ -10,10 +10,9 @@ namespace btwc {
 /**
  * Link scheduling disciplines of the decode fabric (src/fabric/).
  *
- * `Fifo` is the paper's baseline and the bit-exactness anchor: a
- * `SharedOffchipService` driving its serve selection through a
- * `FifoScheduler` behaves identically to the legacy strict-FIFO path
- * (pinned in tests/test_fabric.cpp). The other disciplines re-order
+ * `Fifo` is the paper's baseline and every link's default: strict
+ * arrival order across owners (pinned in tests/test_fabric.cpp). The
+ * other disciplines re-order
  * *which* waiting requests enter service; they never change *how
  * many* do (work conservation), so the link's backlog/stall/served
  * accounting is discipline-invariant and only the per-request delay

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -52,7 +53,9 @@ std::vector<Shard> plan_shards(uint64_t cycles, int shards, uint64_t seed);
 /**
  * Run `worker` over the planned shards -- on std::thread workers when
  * more than one shard is planned -- and merge the per-shard results in
- * shard order.
+ * shard order. A worker that throws does not take the process down:
+ * every shard is joined, then the first exception in shard order is
+ * rethrown on the caller's thread.
  *
  * @tparam Result  default-constructible; the first shard's result
  *                 seeds the accumulator and every later result is
@@ -70,13 +73,25 @@ run_sharded(uint64_t cycles, int threads, uint64_t seed, Worker &&worker)
         return worker(shards.empty() ? Shard{0, 0, seed} : shards[0]);
     }
     std::vector<Result> results(shards.size());
+    std::vector<std::exception_ptr> errors(shards.size());
     std::vector<std::thread> pool;
     pool.reserve(shards.size());
     for (size_t i = 0; i < shards.size(); ++i) {
-        pool.emplace_back([&, i]() { results[i] = worker(shards[i]); });
+        pool.emplace_back([&, i]() {
+            try {
+                results[i] = worker(shards[i]);
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
+        });
     }
     for (std::thread &t : pool) {
         t.join();
+    }
+    for (const std::exception_ptr &error : errors) {
+        if (error) {
+            std::rethrow_exception(error);
+        }
     }
     Result merged = std::move(results[0]);
     for (size_t i = 1; i < results.size(); ++i) {

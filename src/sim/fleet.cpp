@@ -436,8 +436,9 @@ run_fleet_with_bandwidth(const FleetConfig &config, uint64_t bandwidth)
     DemandSource demand(DemandModel(config), config.seed, config.threads);
     // The off-chip link as an async service (core/offchip_queue.hpp):
     // bandwidth-limited FIFO with `offchip_latency` cycles between a
-    // decode entering service and its correction landing. Latency 0
-    // reproduces the historical StallController run step-for-step.
+    // decode entering service and its correction landing. At latency 0
+    // the backlog follows the Lindley recursion of the §5.2 stall
+    // model (tested).
     const uint64_t effective = bandwidth ? bandwidth : 1;
     OffchipQueue queue(OffchipQueueConfig{effective, config.offchip_latency,
                                           config.offchip_batch});
@@ -479,7 +480,10 @@ fleet_trace(const FleetConfig &config, uint64_t bandwidth)
 {
     const DemandModel model(config);
     Rng rng(config.seed);
-    StallController queue(bandwidth);
+    // The §5.2 stall model is the zero-latency link. A zero bandwidth
+    // means one decode per cycle here (the link always drains), not
+    // OffchipQueue's "unlimited".
+    OffchipQueue queue(OffchipQueueConfig{bandwidth ? bandwidth : 1, 0, 0});
     std::vector<TraceCycle> trace;
     trace.reserve(config.cycles);
     for (uint64_t cycle = 0; cycle < config.cycles; ++cycle) {

@@ -50,10 +50,10 @@ struct FleetConfig
     /**
      * Off-chip service latency in cycles (see
      * core/offchip_queue.hpp): corrections land this many cycles
-     * after their decode is served. 0 reproduces the historical
-     * synchronous StallController run bit-for-bit; nonzero shifts the
-     * queue-delay distribution without changing the stall behavior
-     * (latency is pipelined, only backlog stalls).
+     * after their decode is served. 0 is the synchronous §5.2 stall
+     * model (the backlog follows the Lindley recursion); nonzero
+     * shifts the queue-delay distribution without changing the stall
+     * behavior (latency is pipelined, only backlog stalls).
      */
     uint64_t offchip_latency = 0;
     /** decode_batch grouping cap for the served stream (0 = per cycle). */

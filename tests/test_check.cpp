@@ -38,10 +38,7 @@ struct OffchipServiceTestPeer
 {
     static void swap_oldest_waiting(SharedOffchipService &service)
     {
-        SharedOffchipService::Request a = service.waiting_.pop_front();
-        SharedOffchipService::Request b = service.waiting_.pop_front();
-        service.waiting_.push_back(std::move(b));
-        service.waiting_.push_back(std::move(a));
+        std::swap(service.waiting_[0], service.waiting_[1]);
     }
 };
 

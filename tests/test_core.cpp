@@ -1,104 +1,16 @@
 /**
  * @file
- * Tests for the BTWC system plumbing: bandwidth allocation, the stall
- * controller's queueing semantics, and the full per-qubit pipeline.
+ * Tests for the full per-qubit BTWC pipeline (BtwcSystem).
  */
 
 #include <gtest/gtest.h>
 
-#include "core/bandwidth.hpp"
-#include "core/stall.hpp"
 #include "core/system.hpp"
 #include "surface/lattice.hpp"
 #include "surface/noise.hpp"
 
 namespace btwc {
 namespace {
-
-TEST(BandwidthAllocator, PercentileProvisioning)
-{
-    BandwidthAllocator alloc;
-    for (int i = 0; i < 99; ++i) {
-        alloc.record_cycle(2);
-    }
-    alloc.record_cycle(50);
-    EXPECT_EQ(alloc.provision(0.5), 2u);
-    EXPECT_EQ(alloc.provision(0.99), 2u);
-    EXPECT_EQ(alloc.provision(1.0), 50u);
-    EXPECT_NEAR(alloc.mean_demand(), (99 * 2 + 50) / 100.0, 1e-12);
-}
-
-TEST(BandwidthAllocator, NeverProvisionsZero)
-{
-    BandwidthAllocator alloc;
-    for (int i = 0; i < 100; ++i) {
-        alloc.record_cycle(0);
-    }
-    EXPECT_EQ(alloc.provision(0.99), 1u);
-}
-
-TEST(StallController, NoOverflowNoStalls)
-{
-    StallController queue(5);
-    for (int i = 0; i < 100; ++i) {
-        EXPECT_TRUE(queue.step(3));
-    }
-    EXPECT_EQ(queue.stall_cycles(), 0u);
-    EXPECT_EQ(queue.work_cycles(), 100u);
-    EXPECT_EQ(queue.backlog(), 0u);
-    EXPECT_DOUBLE_EQ(queue.execution_time_increase(), 0.0);
-}
-
-TEST(StallController, OverflowStallsNextCycle)
-{
-    StallController queue(2);
-    EXPECT_TRUE(queue.step(5));   // demand 5 > 2: 3 carry over
-    EXPECT_EQ(queue.backlog(), 3u);
-    EXPECT_TRUE(queue.stall_pending());
-    EXPECT_FALSE(queue.step(0));  // this cycle is the stall
-    EXPECT_EQ(queue.backlog(), 1u);
-    EXPECT_FALSE(queue.step(0));  // backlog still draining
-    EXPECT_EQ(queue.backlog(), 0u);
-    EXPECT_TRUE(queue.step(0));
-    EXPECT_EQ(queue.stall_cycles(), 2u);
-    EXPECT_EQ(queue.work_cycles(), 2u);
-}
-
-TEST(StallController, ConservationOfDecodes)
-{
-    StallController queue(3);
-    const uint64_t demands[] = {1, 7, 0, 2, 9, 0, 0, 0, 4, 1};
-    uint64_t total = 0;
-    for (const uint64_t d : demands) {
-        queue.step(d);
-        total += d;
-    }
-    EXPECT_EQ(queue.served() + queue.backlog(), total);
-}
-
-TEST(StallController, PersistentOverloadAccumulates)
-{
-    // Demand mean above bandwidth: the backlog must grow without
-    // bound (the paper's "decode backlog problem", Fig. 9 top).
-    StallController queue(2);
-    for (int i = 0; i < 1000; ++i) {
-        queue.step(3);
-    }
-    EXPECT_GE(queue.backlog(), 900u);
-    EXPECT_GT(queue.stall_cycles(), 990u);
-}
-
-TEST(StallController, ExecutionTimeIncreaseMath)
-{
-    StallController queue(1);
-    queue.step(2);  // work, 1 carried
-    queue.step(0);  // stall, drains
-    queue.step(0);  // work
-    queue.step(0);  // work
-    EXPECT_EQ(queue.work_cycles(), 3u);
-    EXPECT_EQ(queue.stall_cycles(), 1u);
-    EXPECT_NEAR(queue.execution_time_increase(), 1.0 / 3.0, 1e-12);
-}
 
 TEST(BtwcSystem, NoNoiseMeansAllZeros)
 {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -249,6 +250,30 @@ TEST(ShardedEngine, RunsArbitraryMergeableResults)
         });
     EXPECT_EQ(total.cycles, 100001u);
     EXPECT_EQ(total.seeds, 8u);
+}
+
+TEST(ShardedEngine, WorkerExceptionIsRethrownOnTheCaller)
+{
+    // A throwing worker must surface as an exception from run_sharded
+    // (after every shard joined), not as std::terminate.
+    struct Count
+    {
+        uint64_t shards = 0;
+        void merge(const Count &other) { shards += other.shards; }
+    };
+    const auto worker = [](const Shard &shard) {
+        if (shard.index == 1) {
+            throw std::runtime_error("shard 1 failed");
+        }
+        return Count{1};
+    };
+    EXPECT_THROW(run_sharded<Count>(1000, 2, 3, worker),
+                 std::runtime_error);
+    try {
+        run_sharded<Count>(1000, 2, 3, worker);
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "shard 1 failed");
+    }
 }
 
 } // namespace

@@ -2,8 +2,9 @@
  * @file
  * Tests for the decode fabric (src/fabric): scheduler pick semantics
  * and starvation bounds, tenant placement policies, the pinned
- * FIFO/K=1/uniform bit-exactness with the legacy shared-link path
- * (lockstep frames AND merged harness statistics), deadline-miss
+ * FIFO/K=1/uniform bit-exactness with the bare shared link of
+ * fleet_demand_exact_stats (lockstep frames in enqueue order AND
+ * merged harness statistics), deadline-miss
  * accounting, scheduler-induced per-tenant tail separation under
  * contention, probe purity, per-tenant heterogeneity plumbing, and
  * sharded-engine thread determinism of the merged FabricStats.
@@ -13,6 +14,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -199,11 +201,11 @@ TEST(Placement, PoliciesMapTenantsAsDocumented)
 
 TEST(FabricFifo, LockstepFramesWithLegacySharedService)
 {
-    // The tentpole's pinned corner at system granularity: a FIFO
-    // fabric of one link must produce, cycle by cycle, exactly the
-    // frame trajectory of the legacy (schedulerless) shared service --
-    // the scheduled code path reorders nothing and perturbs nothing.
-    // Deep audits also arm the service-internal FIFO lockstep check.
+    // The FIFO link at system granularity: a one-link FIFO fabric and
+    // a bare shared service (the link fleet_demand_exact_stats runs)
+    // must produce the same frame trajectory cycle by cycle, and on
+    // both every correction must come back in the order its request
+    // was enqueued -- FIFO across owners.
     const ScopedAuditLevel deep(AuditLevel::Deep);
     const RotatedSurfaceCode code(3);
     SystemConfig config;
@@ -211,66 +213,79 @@ TEST(FabricFifo, LockstepFramesWithLegacySharedService)
     const int fleet_size = 5;
     const OffchipQueueConfig link{1, 2, 0};  // narrow: real queueing
 
-    SharedOffchipService legacy(code, config.tiers, link);
+    SharedOffchipService bare(code, config.tiers, link);
     FabricTopology topology;  // links=1, Fifo, StaticHash
     Fabric fabric(topology, code, config.tiers, link,
                   std::vector<double>(fleet_size, 8e-3));
 
-    std::vector<BtwcSystem> legacy_fleet;
+    std::vector<BtwcSystem> bare_fleet;
     std::vector<BtwcSystem> fabric_fleet;
-    legacy_fleet.reserve(fleet_size);
+    bare_fleet.reserve(fleet_size);
     fabric_fleet.reserve(fleet_size);
     for (int q = 0; q < fleet_size; ++q) {
         const uint64_t seed = 300 + static_cast<uint64_t>(q);
-        legacy_fleet.emplace_back(code, NoiseParams::uniform(8e-3),
-                                  config, seed);
-        legacy_fleet.back().attach_shared_service(&legacy, q);
+        bare_fleet.emplace_back(code, NoiseParams::uniform(8e-3), config,
+                                seed);
+        bare_fleet.back().attach_shared_service(&bare, q);
         fabric_fleet.emplace_back(code, NoiseParams::uniform(8e-3),
                                   config, seed);
         fabric_fleet.back().attach_shared_service(&fabric.link(0), q);
     }
+    // Owners in enqueue order: tenants step in index order, and a
+    // tenant's requests of one cycle are adjacent.
+    std::deque<int> enqueue_order;
     uint64_t shipped = 0;
+    uint64_t landed = 0;
     for (int cycle = 0; cycle < 1500; ++cycle) {
-        for (size_t q = 0; q < legacy_fleet.size(); ++q) {
-            const CycleReport ra = legacy_fleet[q].step();
+        for (size_t q = 0; q < bare_fleet.size(); ++q) {
+            const CycleReport ra = bare_fleet[q].step();
             const CycleReport rb = fabric_fleet[q].step();
             ASSERT_EQ(ra.verdict, rb.verdict)
                 << "qubit " << q << " cycle " << cycle;
             ASSERT_EQ(ra.queued, rb.queued)
                 << "qubit " << q << " cycle " << cycle;
             shipped += static_cast<uint64_t>(rb.queued);
+            for (int i = 0; i < rb.queued; ++i) {
+                enqueue_order.push_back(static_cast<int>(q));
+            }
         }
-        const std::vector<SharedOffchipService::Delivery> &legacy_landed =
-            legacy.step();
+        const std::vector<SharedOffchipService::Delivery> &bare_landed =
+            bare.step();
         const std::vector<SharedOffchipService::Delivery> &fabric_landed =
             fabric.step();
-        ASSERT_EQ(legacy_landed.size(), fabric_landed.size())
+        ASSERT_EQ(bare_landed.size(), fabric_landed.size())
             << "cycle " << cycle;
-        for (size_t i = 0; i < legacy_landed.size(); ++i) {
-            ASSERT_EQ(legacy_landed[i].owner, fabric_landed[i].owner);
-            ASSERT_EQ(legacy_landed[i].half, fabric_landed[i].half);
-            ASSERT_EQ(legacy_landed[i].correction,
+        for (size_t i = 0; i < fabric_landed.size(); ++i) {
+            ASSERT_EQ(bare_landed[i].owner, fabric_landed[i].owner);
+            ASSERT_EQ(bare_landed[i].half, fabric_landed[i].half);
+            ASSERT_EQ(bare_landed[i].correction,
                       fabric_landed[i].correction);
-            legacy_fleet[static_cast<size_t>(legacy_landed[i].owner)]
-                .deliver_offchip_correction(legacy_landed[i].half,
-                                            legacy_landed[i].correction);
+            ASSERT_FALSE(enqueue_order.empty());
+            ASSERT_EQ(fabric_landed[i].owner, enqueue_order.front())
+                << "cycle " << cycle;
+            enqueue_order.pop_front();
+            ++landed;
+            bare_fleet[static_cast<size_t>(bare_landed[i].owner)]
+                .deliver_offchip_correction(bare_landed[i].half,
+                                            bare_landed[i].correction);
             fabric_fleet[static_cast<size_t>(fabric_landed[i].owner)]
                 .deliver_offchip_correction(fabric_landed[i].half,
                                             fabric_landed[i].correction);
         }
         fabric.audit(shipped);
-        for (size_t q = 0; q < legacy_fleet.size(); ++q) {
+        for (size_t q = 0; q < bare_fleet.size(); ++q) {
             for (const CheckType err : {CheckType::X, CheckType::Z}) {
-                ASSERT_EQ(legacy_fleet[q].frame(err).error(),
+                ASSERT_EQ(bare_fleet[q].frame(err).error(),
                           fabric_fleet[q].frame(err).error())
                     << "qubit " << q << " cycle " << cycle;
             }
         }
     }
-    ASSERT_GT(shipped, 0u);
+    ASSERT_GT(landed, 0u);
+    EXPECT_EQ(landed + enqueue_order.size(), shipped);
     // Under FIFO the service-side delay accounting is bin-for-bin the
-    // queue's own histogram -- the invariant that lets scheduled mode
-    // report delays the legacy path never had to track per request.
+    // queue's own histogram: the queue's FIFO delay groups still match
+    // individual requests.
     EXPECT_EQ(fabric.link(0).delay_histogram().counts(),
               fabric.link(0).queue().delay_histogram().counts());
 }
@@ -567,7 +582,7 @@ TEST(FleetHeterogeneity, MixedDistancesDecodeOnTheRightLattice)
     // Two code distances share one fabric link: every tenant's decode
     // must run on its own lattice (register_code), or corrections
     // would be sized for the wrong code and the closed loop would
-    // unravel. Deep audits (conservation, FIFO lockstep) stay green.
+    // unravel. Deep audits (conservation, starvation bound) stay green.
     const ScopedAuditLevel deep(AuditLevel::Deep);
     FabricFleetConfig config;
     config.fleet.distance = 3;

@@ -10,7 +10,8 @@
  * landings, shed nacks), tenant timeout/retry/fallback degradation,
  * link failover migration, the spec grammar's cross-field validation
  * matrix for the chaos keys, the degraded-vs-disabled acceptance
- * experiment, and a 10k-cycle flapping-link soak under deep audits.
+ * experiment, a 10k-cycle flapping-link soak under deep audits, and
+ * give-up routing across failover migrations.
  */
 
 #include <gtest/gtest.h>
@@ -760,6 +761,28 @@ TEST(FaultSoak, TenThousandCycleFlappingLinkHoldsEveryContract)
                   stats.faults.corrupted,
               0u);
     EXPECT_GT(stats.landed, 0u);
+}
+
+TEST(FaultSoak, FailoverGiveUpsReachTheLinkHoldingTheRequest)
+{
+    // Twelve d=5 tenants on two flapping links with failover: tenants
+    // migrate while requests are outstanding, then time out. Each
+    // give-up must reach the link the request was enqueued on, not the
+    // tenant's new link -- otherwise the old request stays live and
+    // the half's re-escalation breaks the one-outstanding-request
+    // contract, which the deep audits catch within ~600 cycles.
+    const ScopedAuditLevel deep(AuditLevel::Deep);
+    const ScenarioSpec spec = ScenarioSpec::parse(
+        "kind=fabric,d=5,p=8e-3,policy=mwpm,fleet=12,links=2,"
+        "scheduler=deadline,placement=least-loaded,deadline=8,"
+        "hot_fraction=0.25,hot_mult=3,latency=2,bandwidth=1,timeout=12,"
+        "retries=2,shed=true,migrate=32,"
+        "faults=outage:500:60:0;spike:150:24:6;drop:0.04;dup:0.03;"
+        "corrupt:0.04;surge:300:60:2:1,cycles=1000");
+    const FabricStats stats = run_fabric(spec.to_fabric_config());
+    EXPECT_GT(stats.faults.migrations, 0u);
+    EXPECT_GT(stats.faults.retried + stats.faults.degraded, 0u);
+    EXPECT_GT(stats.faults.canceled + stats.faults.stale_discards, 0u);
 }
 
 } // namespace

@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests for the hierarchical decoder (§8.1 extension): tier selection,
- * syndrome-clearing contract at every tier, monotonicity of tier
- * distribution in the escalation threshold, and accuracy equivalence
- * with MWPM inside the half-distance guarantee.
+ * Tests for the §8.1 three-tier hierarchy Clique -> Union-Find -> MWPM
+ * (`TierChainConfig::deep`): tier selection, syndrome-clearing
+ * contract at every tier, monotonicity of tier distribution in the
+ * escalation threshold, and accuracy equivalence with MWPM inside the
+ * half-distance guarantee.
  */
 
 #include <gtest/gtest.h>
@@ -11,13 +12,24 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/hierarchy.hpp"
+#include "decoders/tier_chain.hpp"
 #include "matching/mwpm.hpp"
 #include "surface/frame.hpp"
 #include "surface/lattice.hpp"
 
 namespace btwc {
 namespace {
+
+/** The deep chain at `threshold`; 0 drops the UF tier (the paper's
+ * Clique -> MWPM baseline). */
+TierChain
+hierarchy(const RotatedSurfaceCode &code, CheckType detector,
+          int threshold = 2)
+{
+    return TierChain(code, detector,
+                     threshold > 0 ? TierChainConfig::deep(threshold)
+                                   : TierChainConfig::legacy());
+}
 
 std::vector<uint8_t>
 syndrome_of(const RotatedSurfaceCode & /*code*/, const ErrorFrame &frame)
@@ -30,13 +42,14 @@ syndrome_of(const RotatedSurfaceCode & /*code*/, const ErrorFrame &frame)
 TEST(Hierarchy, TrivialSignaturesStayAtCliqueTier)
 {
     const RotatedSurfaceCode code(7);
-    const HierarchicalDecoder hier(code, CheckType::Z);
+    const TierChain hier = hierarchy(code, CheckType::Z);
     for (int q = 0; q < code.num_data(); ++q) {
         ErrorFrame frame(code, CheckType::X);
         frame.flip(q);
-        const auto result = hier.decode(syndrome_of(code, frame));
+        const auto result =
+            hier.decode_syndrome(syndrome_of(code, frame));
         ASSERT_EQ(result.tier, DecoderTier::Clique) << "q=" << q;
-        frame.apply_mask(result.correction);
+        frame.apply_mask(result.decode.correction);
         ASSERT_TRUE(frame.syndrome_clear());
     }
 }
@@ -44,11 +57,11 @@ TEST(Hierarchy, TrivialSignaturesStayAtCliqueTier)
 TEST(Hierarchy, AllZeroSignatureIsFree)
 {
     const RotatedSurfaceCode code(5);
-    const HierarchicalDecoder hier(code, CheckType::Z);
+    const TierChain hier = hierarchy(code, CheckType::Z);
     std::vector<uint8_t> zeros(code.num_checks(CheckType::Z), 0);
-    const auto result = hier.decode(zeros);
+    const auto result = hier.decode_syndrome(zeros);
     EXPECT_EQ(result.tier, DecoderTier::Clique);
-    for (const uint8_t bit : result.correction) {
+    for (const uint8_t bit : result.decode.correction) {
         EXPECT_EQ(bit, 0);
     }
 }
@@ -58,7 +71,7 @@ TEST(Hierarchy, ShortChainsResolveAtUnionFindTier)
     // A single 2-chain through an interior check is COMPLEX for Clique
     // but forms one small cluster: the UF tier should absorb it.
     const RotatedSurfaceCode code(9);
-    const HierarchicalDecoder hier(code, CheckType::Z);
+    const TierChain hier = hierarchy(code, CheckType::Z);
     int uf_resolved = 0;
     int total = 0;
     for (int c = 0; c < code.num_checks(CheckType::Z); ++c) {
@@ -71,13 +84,13 @@ TEST(Hierarchy, ShortChainsResolveAtUnionFindTier)
         frame.flip(chk.data[0]);
         frame.flip(chk.data[3]);
         const auto syndrome = syndrome_of(code, frame);
-        const auto result = hier.decode(syndrome);
+        const auto result = hier.decode_syndrome(syndrome);
         if (result.tier == DecoderTier::Clique) {
             continue;  // this particular pair decoded trivially
         }
         ++total;
         uf_resolved += result.tier == DecoderTier::UnionFind ? 1 : 0;
-        frame.apply_mask(result.correction);
+        frame.apply_mask(result.decode.correction);
         ASSERT_TRUE(frame.syndrome_clear()) << "check " << c;
     }
     ASSERT_GT(total, 0);
@@ -87,9 +100,7 @@ TEST(Hierarchy, ShortChainsResolveAtUnionFindTier)
 TEST(Hierarchy, ZeroThresholdDisablesUnionFind)
 {
     const RotatedSurfaceCode code(7);
-    HierarchyConfig config;
-    config.uf_growth_threshold = 0;
-    const HierarchicalDecoder hier(code, CheckType::Z, config);
+    const TierChain hier = hierarchy(code, CheckType::Z, 0);
     // An isolated interior defect is complex; with no UF tier it must
     // land at MWPM.
     for (int c = 0; c < code.num_checks(CheckType::Z); ++c) {
@@ -98,7 +109,7 @@ TEST(Hierarchy, ZeroThresholdDisablesUnionFind)
         }
         std::vector<uint8_t> syndrome(code.num_checks(CheckType::Z), 0);
         syndrome[c] = 1;
-        const auto result = hier.decode(syndrome);
+        const auto result = hier.decode_syndrome(syndrome);
         EXPECT_EQ(result.tier, DecoderTier::Mwpm);
     }
 }
@@ -106,16 +117,16 @@ TEST(Hierarchy, ZeroThresholdDisablesUnionFind)
 TEST(Hierarchy, EveryTierClearsTheSyndrome)
 {
     const RotatedSurfaceCode code(9);
-    const HierarchicalDecoder hier(code, CheckType::Z);
+    const TierChain hier = hierarchy(code, CheckType::Z);
     Rng rng(71);
     int tiers_seen[3] = {0, 0, 0};
     for (int iter = 0; iter < 500; ++iter) {
         ErrorFrame frame(code, CheckType::X);
         frame.inject(0.03, rng);
         const auto syndrome = syndrome_of(code, frame);
-        const auto result = hier.decode(syndrome);
+        const auto result = hier.decode_syndrome(syndrome);
         ++tiers_seen[static_cast<int>(result.tier)];
-        frame.apply_mask(result.correction);
+        frame.apply_mask(result.decode.correction);
         ASSERT_TRUE(frame.syndrome_clear()) << "iter=" << iter;
     }
     // At p=3% on d=9 all three tiers must be exercised.
@@ -136,13 +147,12 @@ TEST(Hierarchy, HigherThresholdKeepsMoreOffMwpm)
     }
     int prev_mwpm = 1 << 30;
     for (const int threshold : {1, 2, 4, 8}) {
-        HierarchyConfig config;
-        config.uf_growth_threshold = threshold;
-        const HierarchicalDecoder hier(code, CheckType::Z, config);
+        const TierChain hier = hierarchy(code, CheckType::Z, threshold);
         int mwpm = 0;
         for (const auto &syndrome : syndromes) {
-            mwpm += hier.decode(syndrome).tier == DecoderTier::Mwpm ? 1
-                                                                    : 0;
+            mwpm += hier.decode_syndrome(syndrome).tier == DecoderTier::Mwpm
+                        ? 1
+                        : 0;
         }
         EXPECT_LE(mwpm, prev_mwpm) << "threshold=" << threshold;
         prev_mwpm = mwpm;
@@ -154,7 +164,7 @@ TEST(Hierarchy, MatchesMwpmWithinHalfDistance)
     // Inside the code's guarantee the hierarchy must be as accurate as
     // MWPM-only decoding (no logical flips).
     const RotatedSurfaceCode code(9);
-    const HierarchicalDecoder hier(code, CheckType::Z);
+    const TierChain hier = hierarchy(code, CheckType::Z);
     Rng rng(73);
     for (int iter = 0; iter < 400; ++iter) {
         ErrorFrame frame(code, CheckType::X);
@@ -162,8 +172,9 @@ TEST(Hierarchy, MatchesMwpmWithinHalfDistance)
         for (int i = 0; i < k; ++i) {
             frame.flip(static_cast<int>(rng.next_below(code.num_data())));
         }
-        const auto result = hier.decode(syndrome_of(code, frame));
-        frame.apply_mask(result.correction);
+        const auto result =
+            hier.decode_syndrome(syndrome_of(code, frame));
+        frame.apply_mask(result.decode.correction);
         ASSERT_TRUE(frame.syndrome_clear());
         ASSERT_FALSE(frame.logical_flipped()) << "iter=" << iter;
     }
@@ -174,13 +185,14 @@ TEST(Hierarchy, WorksForBothCheckTypes)
     const RotatedSurfaceCode code(7);
     Rng rng(75);
     for (const CheckType err : {CheckType::X, CheckType::Z}) {
-        const HierarchicalDecoder hier(code, detector_of_error(err));
+        const TierChain hier = hierarchy(code, detector_of_error(err));
         for (int iter = 0; iter < 100; ++iter) {
             ErrorFrame frame(code, err);
             frame.inject(0.02, rng);
             std::vector<uint8_t> syndrome;
             frame.measure_perfect(syndrome);
-            frame.apply_mask(hier.decode(syndrome).correction);
+            frame.apply_mask(
+                hier.decode_syndrome(syndrome).decode.correction);
             ASSERT_TRUE(frame.syndrome_clear());
         }
     }
@@ -191,7 +203,7 @@ TEST(Hierarchy, ReportsGrowthEffort)
     // The UF tier's growth effort must be visible to callers whenever
     // the clique tier escalates.
     const RotatedSurfaceCode code(7);
-    const HierarchicalDecoder hier(code, CheckType::Z);
+    const TierChain hier = hierarchy(code, CheckType::Z);
     // Isolated interior defect: one odd cluster must grow to reach the
     // boundary, so the effort is nonzero.
     for (int c = 0; c < code.num_checks(CheckType::Z); ++c) {
@@ -200,9 +212,9 @@ TEST(Hierarchy, ReportsGrowthEffort)
         }
         std::vector<uint8_t> syndrome(code.num_checks(CheckType::Z), 0);
         syndrome[c] = 1;
-        const auto result = hier.decode(syndrome);
+        const auto result = hier.decode_syndrome(syndrome);
         if (result.tier != DecoderTier::Clique) {
-            EXPECT_GT(result.uf_growth_rounds, 0) << "check " << c;
+            EXPECT_GT(result.effort, 0) << "check " << c;
         }
     }
 }
@@ -212,7 +224,7 @@ TEST(Hierarchy, AgreesWithMwpmLogicallyOnRandomNoise)
     // Beyond the guarantee, the hierarchy may differ from MWPM only
     // rarely (UF's approximation); measure the disagreement rate.
     const RotatedSurfaceCode code(7);
-    const HierarchicalDecoder hier(code, CheckType::Z);
+    const TierChain hier = hierarchy(code, CheckType::Z);
     const MwpmDecoder mwpm(code, CheckType::Z);
     Rng rng(74);
     int disagreements = 0;
@@ -222,7 +234,8 @@ TEST(Hierarchy, AgreesWithMwpmLogicallyOnRandomNoise)
         hier_frame.inject(0.02, rng);
         ErrorFrame mwpm_frame = hier_frame;
         const auto syndrome = syndrome_of(code, hier_frame);
-        hier_frame.apply_mask(hier.decode(syndrome).correction);
+        hier_frame.apply_mask(
+            hier.decode_syndrome(syndrome).decode.correction);
         mwpm_frame.apply_mask(mwpm.decode_syndrome(syndrome).correction);
         disagreements += hier_frame.logical_flipped() !=
                                  mwpm_frame.logical_flipped()

@@ -1,7 +1,7 @@
 /**
  * @file
- * Cross-cutting property tests: the stall controller against a
- * textbook Lindley-recursion reference, end-to-end determinism from
+ * Cross-cutting property tests: the zero-latency off-chip queue (the
+ * §5.2 stall model) against a textbook Lindley-recursion reference, end-to-end determinism from
  * seeds, filter algebra on random streams, and histogram/percentile
  * consistency.
  */
@@ -14,7 +14,7 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "core/filter.hpp"
-#include "core/stall.hpp"
+#include "core/offchip_queue.hpp"
 #include "sim/fleet.hpp"
 #include "sim/lifetime.hpp"
 #include "sim/memory.hpp"
@@ -24,36 +24,44 @@ namespace {
 
 TEST(StallControllerProperty, MatchesLindleyRecursion)
 {
-    // The off-chip queue is a D/G/1 queue with deterministic service
-    // rate B: the backlog must follow the Lindley recursion
+    // The §5.2 stall model is the zero-latency off-chip queue, a D/G/1
+    // queue with deterministic service rate B: the backlog must follow
+    // the Lindley recursion
     //   W_{t+1} = max(0, W_t + A_t - B)
     // and a cycle is a stall exactly when the previous cycle ended
-    // with W > 0.
+    // with W > 0. Every decode is served or still waiting.
     Rng rng(2024);
     for (int trial = 0; trial < 50; ++trial) {
         const uint64_t bandwidth = 1 + rng.next_below(8);
-        StallController queue(bandwidth);
+        OffchipQueue queue(OffchipQueueConfig{bandwidth, 0, 0});
         uint64_t lindley = 0;
         uint64_t stalls = 0;
+        uint64_t arrived = 0;
         for (int t = 0; t < 400; ++t) {
             const uint64_t arrivals = rng.next_below(12);
             const bool expect_stall = lindley > 0;
-            const bool was_work = queue.step(arrivals);
-            EXPECT_EQ(!was_work, expect_stall) << "t=" << t;
+            EXPECT_EQ(queue.stall_pending(), expect_stall) << "t=" << t;
+            queue.step(arrivals);
+            arrived += arrivals;
             const uint64_t inflow = lindley + arrivals;
             lindley = inflow > bandwidth ? inflow - bandwidth : 0;
             stalls += expect_stall ? 1 : 0;
             ASSERT_EQ(queue.backlog(), lindley) << "t=" << t;
+            ASSERT_EQ(queue.served() + queue.backlog(), arrived);
         }
         EXPECT_EQ(queue.stall_cycles(), stalls);
+        EXPECT_EQ(queue.work_cycles(), 400u - stalls);
         EXPECT_EQ(queue.total_cycles(), 400u);
+        EXPECT_DOUBLE_EQ(queue.execution_time_increase(),
+                         static_cast<double>(stalls) /
+                             static_cast<double>(400u - stalls));
     }
 }
 
 TEST(StallControllerProperty, ServiceNeverExceedsBandwidthPerCycle)
 {
     Rng rng(11);
-    StallController queue(3);
+    OffchipQueue queue(OffchipQueueConfig{3, 0, 0});
     uint64_t prev_served = 0;
     for (int t = 0; t < 300; ++t) {
         queue.step(rng.next_below(10));

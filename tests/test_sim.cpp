@@ -378,6 +378,14 @@ TEST(Fleet, TraceMarksStallsAndCarryover)
     }
     EXPECT_TRUE(saw_stall);
     EXPECT_TRUE(saw_carryover);
+
+    // A zero provision is one decode per cycle: never zero (the
+    // backlog could not drain) and never the queue's "unlimited".
+    const auto floor = fleet_trace(config, 0);
+    ASSERT_EQ(floor.size(), 100u);
+    for (const TraceCycle &cycle : floor) {
+        EXPECT_EQ(cycle.served, 1u);
+    }
 }
 
 } // namespace
