@@ -284,12 +284,13 @@ BENCHMARK(BM_SpacetimeMwpmWindow)->Arg(5)->Arg(9)->Arg(11);
 
 /**
  * The perf-gate pair: single-shot spacetime decodes (a fresh window
- * per slot, varied inputs) through the fast path — distance oracle +
- * sparse candidates + pooled per-instance scratch, the production
- * default — against the legacy per-defect Dijkstra + complete-graph
- * configuration (bit-exact results, tests/test_fastpath.cpp). The
- * acceptance bar is >= 3x at d >= 11; see the archived
- * BENCH_decoders.json for the measured trajectory.
+ * per slot, varied inputs) through the production path — distance
+ * oracle + sparse blossom matcher + pooled per-instance scratch —
+ * against the legacy per-defect Dijkstra feeding the same matcher
+ * (bit-exact results, tests/test_fastpath.cpp). /5 covers the small
+ * windows of the fabric-chaos and pipeline-d21 escalations, /21 the
+ * ~250-defect windows where the dense blossom used to spend 10 ms; see
+ * the archived BENCH_decoders.json for the measured trajectory.
  */
 void
 run_single_decode(benchmark::State &state, const FastPathConfig &config)
@@ -314,7 +315,7 @@ BM_MwpmDecodeSingle(benchmark::State &state)
 {
     run_single_decode(state, FastPathConfig::fast());
 }
-BENCHMARK(BM_MwpmDecodeSingle)->Arg(11)->Arg(15)->Arg(21);
+BENCHMARK(BM_MwpmDecodeSingle)->Arg(5)->Arg(11)->Arg(15)->Arg(21);
 
 void
 BM_MwpmDecodeSingleLegacy(benchmark::State &state)
@@ -434,6 +435,36 @@ BM_StreamWindowDecode(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StreamWindowDecode)->Arg(9)->Arg(21);
+
+void
+BM_StreamWindowDecodeBare(benchmark::State &state)
+{
+    // The stream-d21 benchmark workload's shape: p = 1e-3, window 22,
+    // overlap 11, no screening tier, so every non-empty window runs
+    // the matched MWPM decode. Per-round cost of push_round. The loop
+    // plays 512 sampled rounds forward then backward, so wrapping
+    // around adds no burst of accumulated errors.
+    const RotatedSurfaceCode code(static_cast<int>(state.range(0)));
+    StreamWindowConfig config;
+    config.window = 22;
+    config.overlap = 11;
+    StreamWindowDecoder stream(code, CheckType::Z, config);
+    ErrorFrame frame(code, CheckType::X);
+    Rng rng(16);
+    std::vector<PackedSyndrome> raws(1024);
+    for (size_t t = 0; t < 512; ++t) {
+        frame.inject(1e-3, rng);
+        frame.measure_packed(1e-3, rng, raws[t]);
+        raws[1023 - t] = raws[t];
+    }
+    size_t i = 0;
+    for (auto _ : state) {
+        stream.push_round(raws[i++ & 1023]);
+    }
+    benchmark::DoNotOptimize(stream.stats().windows);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StreamWindowDecodeBare)->Arg(21);
 
 void
 BM_ExactDecodeSyndrome(benchmark::State &state)

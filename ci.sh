@@ -50,6 +50,14 @@ if [[ "${1:-}" == "--asan" ]]; then
     # the full object graph, not just what the metrics read.
     ./build-asan/btwc_run quick --threads 1 --audit deep \
         --json build-asan/BENCH_asan.json > /dev/null
+    # Real matcher traffic under the sanitizers: the unscreened stream
+    # windows and the chaos fabric's escalations drive the sparse
+    # blossom's heap, pools and blossom code, and every solve re-checks
+    # its LP optimality certificate at --audit deep.
+    ./build-asan/btwc_run stream-quick --threads 1 --audit deep \
+        --json build-asan/BENCH_asan_stream.json > /dev/null
+    ./build-asan/btwc_run fabric-chaos --threads 1 --audit deep \
+        --json build-asan/BENCH_asan_chaos.json > /dev/null
     echo "ASan+UBSan OK"
     exit 0
 fi

@@ -13,21 +13,19 @@ namespace btwc {
  * matching/exact.hpp (exact by construction, O(2^k * k) in the defect
  * count k). It is the correctness oracle for the blossom-backed
  * production tier and an alternative final tier for cross-validation
- * runs; above ~18 defects it transparently falls back to blossom.
+ * runs; above ~18 defects it transparently falls back to the sparse
+ * blossom matcher.
  */
 class ExactDecoder : public MwpmDecoder
 {
   public:
     /**
-     * Defaults to `FastPathConfig::oracle_only()`: O(1) oracle
-     * distances (bit-exact with the Dijkstra), but the *complete*
-     * defect graph in the rare > ~18-defect blossom fallback — a
-     * cross-validation oracle must not prune candidates, even
-     * provably-optimum-preserving ones.
+     * Defaults to O(1) oracle distances (bit-exact with the Dijkstra);
+     * the matcher itself never prunes candidate partners.
      */
     ExactDecoder(const RotatedSurfaceCode &code, CheckType detector,
                  int space_weight = 1, int time_weight = 1,
-                 FastPathConfig fast = FastPathConfig::oracle_only())
+                 FastPathConfig fast = FastPathConfig())
         : MwpmDecoder(code, detector, space_weight, time_weight,
                       Matcher::ExactDp, fast)
     {

@@ -119,7 +119,6 @@ StreamWindowDecoder::reset()
     prev_raw_.clear();
     committed_.clear();
     carried_.clear();
-    carried_next_.clear();
     events_.clear();
     origin_.clear();
     matches_.clear();
@@ -144,7 +143,6 @@ StreamWindowDecoder::steady_state_bytes() const
         bytes += slot_events.capacity() * sizeof(int);
     }
     bytes += carried_.capacity() * sizeof(CarriedDefect);
-    bytes += carried_next_.capacity() * sizeof(CarriedDefect);
     bytes += events_.capacity() * sizeof(DetectionEvent);
     bytes += origin_.capacity() * sizeof(uint64_t);
     bytes += matches_.pairs.capacity() * sizeof(MwpmMatches::Pair);
@@ -303,8 +301,8 @@ StreamWindowDecoder::decode_window(int avail, int commit)
     // Matched MWPM path: decode with pair attribution, then commit
     // exactly the pairs whose endpoints all lie in the commit region.
     ++stats_.matched_windows;
-    const Decoder::Result result =
-        matcher_.decode_matched(events_, rounds, matches_);
+    Decoder::Result &result = matched_result_;
+    matcher_.decode_matched(events_, rounds, matches_, result);
     if (audit_deep()) {
         // Machine-check the MwpmMatches contract: the XOR of the pair
         // paths reproduces the full correction mask bit for bit.
@@ -323,7 +321,9 @@ StreamWindowDecoder::decode_window(int avail, int commit)
         }
     }
 
-    carried_next_.clear();
+    // The presented events already hold copies of the old carried
+    // defects, so the carry list is rebuilt in place.
+    carried_.clear();
     for (const MwpmMatches::Pair &p : matches_.pairs) {
         const bool a_commits = events_[static_cast<size_t>(p.a)].round < commit;
         const bool b_commits =
@@ -348,17 +348,16 @@ StreamWindowDecoder::decode_window(int avail, int commit)
         // the next window (origin preserved); overlap-region endpoints
         // stay buffered and are simply re-presented.
         if (a_commits) {
-            carried_next_.push_back(
+            carried_.push_back(
                 {events_[static_cast<size_t>(p.a)].check,
                  origin_[static_cast<size_t>(p.a)]});
         }
         if (p.b >= 0 && b_commits) {
-            carried_next_.push_back(
+            carried_.push_back(
                 {events_[static_cast<size_t>(p.b)].check,
                  origin_[static_cast<size_t>(p.b)]});
         }
     }
-    std::swap(carried_, carried_next_);
     stats_.defects_carried += carried_.size();
     stats_.max_carried =
         std::max(stats_.max_carried, static_cast<uint64_t>(carried_.size()));

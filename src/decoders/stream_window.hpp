@@ -238,10 +238,10 @@ class StreamWindowDecoder
     PackedSyndrome prev_raw_;  ///< last pushed raw syndrome
     PackedBits committed_;     ///< committed correction mask
     std::vector<CarriedDefect> carried_;
-    std::vector<CarriedDefect> carried_next_;
     std::vector<DetectionEvent> events_;  ///< presented window events
     std::vector<uint64_t> origin_;  ///< absolute origin round per event
     MwpmMatches matches_;
+    Decoder::Result matched_result_;  ///< pooled matched-decode result
     PackedBits audit_mask_;  ///< deep-audit path-XOR scratch
 
     StreamWindowStats stats_;

@@ -7,8 +7,8 @@
 #include <queue>
 
 #include "common/check.hpp"
-#include "matching/blossom.hpp"
 #include "matching/exact.hpp"
+#include "matching/sparse_blossom.hpp"
 #include "surface/distance.hpp"
 
 namespace btwc {
@@ -20,20 +20,10 @@ constexpr int kNoNode = -1;
 /**
  * Largest defect count handed to the subset-DP matcher: O(2^k * k)
  * time and O(2^k) memory, so 18 keeps a single decode under ~5M ops.
- * Beyond it the ExactDp backend falls back to blossom (which the
- * property tests verify is exact anyway).
+ * Beyond it the ExactDp backend falls back to the blossom matcher
+ * (which the oracle tests verify is exact anyway).
  */
 constexpr int kExactDpMaxDefects = 18;
-
-/**
- * Smallest uncapped instance worth domination-pruning: below this the
- * complete-graph blossom is already cheap and the O(k^2 log k)
- * selection is pure overhead (measured: no win at k ~ 17, ~1.5x at
- * k ~ 130). Skipping also makes small decodes — the BtwcSystem
- * per-cycle common case — structurally identical to the
- * complete-graph solve.
- */
-constexpr int kSparseMinDefects = 32;
 
 } // namespace
 
@@ -46,11 +36,11 @@ log_likelihood_weight(double p, double scale)
 }
 
 /**
- * Persistent per-instance working set. Every array (and the blossom
- * matcher's dense edge matrix) holds on to its grown capacity, so
- * after the first few decodes the steady state allocates nothing —
- * this is what the `BM_MwpmDecodeSingle*` benchmarks measure. One
- * Scratch lives in each decoder (`MwpmDecoder::scratch_`); `decode`,
+ * Persistent per-instance working set. Every array (and the sparse
+ * blossom matcher's pools) holds on to its grown capacity, so after
+ * the first few decodes the steady state allocates nothing — this is
+ * what the `BM_MwpmDecodeSingle*` benchmarks measure. One Scratch
+ * lives in each decoder (`MwpmDecoder::scratch_`); `decode`,
  * `decode_batch`, and the tier-chain resume paths all route through
  * it.
  */
@@ -63,21 +53,18 @@ struct MwpmDecoder::Scratch
     std::vector<std::vector<int>> parent_data;
     std::vector<int> boundary_node;
     std::vector<int> boundary_via;
+    std::vector<int> event_node;  ///< spacetime node of each defect
 
     // Shared by both paths.
     std::vector<int64_t> boundary_dist;
-    std::vector<int64_t> defect_w;  ///< k x k pairwise distances, flat
     std::vector<int> mate_defect;
+    DefectMetric metric;
 
-    // Sparse candidate selection.
-    std::vector<int> nbr_order;
-    std::vector<uint8_t> keep;  ///< k x k candidate-edge flags
-
-    // Subset-DP bridge (row-matrix view over `defect_w`).
+    // Subset-DP bridge (k x k rows for the exact oracle backend).
     std::vector<std::vector<int64_t>> dp_w;
 
-    // Pooled pairing engine (MaxWeightMatching::reset).
-    MaxWeightMatching matcher;
+    // Pooled pairing engine.
+    SparseBlossom matcher;
 
     void prepare_dijkstra(int defects)
     {
@@ -89,6 +76,7 @@ struct MwpmDecoder::Scratch
         }
         boundary_node.resize(k);
         boundary_via.resize(k);
+        event_node.resize(k);
     }
 };
 
@@ -102,7 +90,6 @@ MwpmDecoder::MwpmDecoder(const RotatedSurfaceCode &code, CheckType detector,
       scratch_(std::make_unique<Scratch>())
 {
     BTWC_CHECK(space_weight >= 1 && time_weight >= 1);
-    BTWC_CHECK(fast_.knn >= 0);
 }
 
 MwpmDecoder::~MwpmDecoder() = default;
@@ -112,7 +99,9 @@ MwpmDecoder::decode(const std::vector<DetectionEvent> &events,
                     int rounds) const
 {
     thread_owner_.assert_single_thread_owner();
-    return decode_impl(events, rounds, *scratch_);
+    Result result;
+    decode_impl(events, rounds, *scratch_, result);
+    return result;
 }
 
 std::vector<MwpmDecoder::Result>
@@ -120,35 +109,37 @@ MwpmDecoder::decode_batch(
     const std::vector<std::vector<DetectionEvent>> &batch, int rounds) const
 {
     thread_owner_.assert_single_thread_owner();
-    std::vector<Result> results;
-    results.reserve(batch.size());
-    for (const std::vector<DetectionEvent> &events : batch) {
-        results.push_back(decode_impl(events, rounds, *scratch_));
+    std::vector<Result> results(batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+        decode_impl(batch[i], rounds, *scratch_, results[i]);
     }
     return results;
 }
 
-MwpmDecoder::Result
+void
 MwpmDecoder::decode_matched(const std::vector<DetectionEvent> &events,
-                            int rounds, MwpmMatches &matches) const
+                            int rounds, MwpmMatches &matches,
+                            Result &out) const
 {
     thread_owner_.assert_single_thread_owner();
-    return decode_impl(events, rounds, *scratch_, &matches);
+    decode_impl(events, rounds, *scratch_, out, &matches);
 }
 
-MwpmDecoder::Result
+void
 MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
-                         int rounds, Scratch &scratch,
+                         int rounds, Scratch &scratch, Result &result,
                          MwpmMatches *matches) const
 {
-    Result result;
     result.correction.assign(code_.num_data(), 0);
+    result.weight = 0;
     result.defects = static_cast<int>(events.size());
+    result.effort = 0;
+    result.resolved = true;
     if (matches != nullptr) {
         matches->clear();
     }
     if (events.empty()) {
-        return result;
+        return;
     }
     BTWC_CHECK(rounds >= 1);
 
@@ -161,16 +152,16 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
     // and come from the precomputed oracle in O(1). Non-unit weights
     // would also decompose, but the legacy Dijkstra is kept as the
     // exact reference/fallback there (and for the bit-exactness
-    // property tests).
+    // property tests). Neither path builds a k x k matrix for the
+    // matcher: it asks the metric for the distances it needs.
     const bool fast = fast_.distance_oracle && space_weight_ == 1 &&
                       time_weight_ == 1;
     const CheckGraphDistances *oracle =
         fast ? &code_.check_distances(detector_) : nullptr;
 
     std::vector<int64_t> &boundary_dist = scratch.boundary_dist;
-    std::vector<int64_t> &defect_w = scratch.defect_w;
     boundary_dist.assign(ks, -1);
-    defect_w.assign(ks * ks, -1);
+    DefectMetric &metric = scratch.metric;
 
     if (fast) {
         for (int i = 0; i < k; ++i) {
@@ -178,14 +169,8 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
             BTWC_AUDIT(events[i].check >= 0 && events[i].check < num_checks_);
             boundary_dist[i] =
                 oracle->boundary_hops(events[i].check) + 1;
-            for (int j = 0; j < i; ++j) {
-                const int64_t w =
-                    oracle->distance(events[i].check, events[j].check) +
-                    std::abs(events[i].round - events[j].round);
-                defect_w[static_cast<size_t>(i) * ks + j] = w;
-                defect_w[static_cast<size_t>(j) * ks + i] = w;
-            }
         }
+        metric.use_oracle(*oracle, events.data(), boundary_dist.data(), k);
     } else {
         // Per-defect Dijkstra over the spacetime graph: distances to
         // every node plus parent pointers for path recovery.
@@ -211,6 +196,7 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
             boundary_via[i] = -1;
 
             const int src = node_id(events[i].check, events[i].round);
+            scratch.event_node[i] = src;
             using HeapEntry = std::pair<int, int>;  // (distance, node)
             std::priority_queue<HeapEntry, std::vector<HeapEntry>,
                                 std::greater<HeapEntry>>
@@ -259,135 +245,41 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
                 }
             }
         }
-
-        // Defect-defect pairing distances, shared by both matcher
-        // backends (a divergence here would silently desynchronize the
-        // exact-DP oracle from the production blossom matcher).
-        for (int i = 0; i < k; ++i) {
-            for (int j = i + 1; j < k; ++j) {
-                const int nj = node_id(events[j].check, events[j].round);
-                const int d = dist[i][nj];
-                if (d >= 0) {
-                    defect_w[static_cast<size_t>(i) * ks + j] = d;
-                    defect_w[static_cast<size_t>(j) * ks + i] = d;
-                }
-            }
-        }
+        // Pair distances are read straight from the Dijkstra rows.
+        metric.use_rows(dist.data(), scratch.event_node.data(),
+                        boundary_dist.data(), k);
     }
 
     // Solve the pairing: mate_defect[i] is another defect index, or -1
-    // for a boundary retirement.
-    std::vector<int> &mate_defect = scratch.mate_defect;
+    // for a boundary retirement. Both backends read the same metric, so
+    // the exact-DP oracle and the production matcher cannot drift apart.
+    const std::vector<int> *mates = &scratch.mate_defect;
     if (matcher_ == Matcher::ExactDp && k <= kExactDpMaxDefects) {
         std::vector<std::vector<int64_t>> &dp_w = scratch.dp_w;
         if (dp_w.size() < ks) {
             dp_w.resize(ks);
         }
         for (int i = 0; i < k; ++i) {
-            dp_w[i].assign(defect_w.begin() + static_cast<size_t>(i) * ks,
-                           defect_w.begin() +
-                               static_cast<size_t>(i + 1) * ks);
-            dp_w[i][i] = -1;
+            dp_w[i].assign(ks, -1);
+            for (int j = 0; j < k; ++j) {
+                if (j != i) {
+                    dp_w[i][j] = metric.distance(i, j);
+                }
+            }
         }
         const int64_t total = exact_min_weight_with_boundary_mates(
-            k, dp_w, boundary_dist, mate_defect);
+            k, dp_w, boundary_dist, scratch.mate_defect);
         BTWC_CHECK_MSG(total >= 0,
                        "defect graph always admits a boundary matching");
     } else {
-        // Build the 2k matching instance in the pooled solver:
-        // defects 0..k-1, boundary twins k..2k-1, twin-twin edges
-        // free. Under sparse_candidates each defect offers only its
-        // knn nearest non-dominated partners (an edge costing more
-        // than the two boundary retirements it replaces is in no
-        // optimal matching), symmetrically unioned; boundary and twin
-        // edges always survive, so a perfect matching always exists.
-        // Skip the selection when it cannot pay for itself: uncapped,
-        // below kSparseMinDefects; capped, below the cap + 1 (where
-        // the kNN union is the complete graph anyway). Small
-        // instances — the common case — then pay zero overhead and
-        // match the complete-graph solve identically by construction.
-        const int cap = fast_.knn == 0 ? k : fast_.knn;
-        const int min_defects =
-            fast_.knn == 0 ? kSparseMinDefects : fast_.knn + 1;
-        uint8_t *keep = nullptr;
-        if (fast_.sparse_candidates && k > min_defects) {
-            scratch.keep.assign(ks * ks, 0);
-            keep = scratch.keep.data();
-            std::vector<int> &order = scratch.nbr_order;
-            for (int i = 0; i < k; ++i) {
-                const int64_t *row = &defect_w[static_cast<size_t>(i) * ks];
-                order.clear();
-                for (int j = 0; j < k; ++j) {
-                    if (j != i && row[j] >= 0) {
-                        order.push_back(j);
-                    }
-                }
-                std::sort(order.begin(), order.end(),
-                          [row](int a, int b) {
-                              return row[a] != row[b] ? row[a] < row[b]
-                                                      : a < b;
-                          });
-                int taken = 0;
-                for (const int j : order) {
-                    if (taken >= cap) {
-                        break;
-                    }
-                    if (boundary_dist[i] >= 0 && boundary_dist[j] >= 0 &&
-                        row[j] > boundary_dist[i] + boundary_dist[j]) {
-                        continue;  // strictly dominated by boundaries
-                    }
-                    keep[static_cast<size_t>(i) * ks + j] = 1;
-                    keep[static_cast<size_t>(j) * ks + i] = 1;
-                    ++taken;
-                }
-            }
+        SparseBlossom &solver = scratch.matcher;
+        solver.solve(metric);
+        if (audit_deep()) {
+            solver.audit(metric);
         }
-
-        const int n = 2 * k;
-        MaxWeightMatching &solver = scratch.matcher;
-        solver.reset(n);
-        int64_t total = 0;
-        for (int i = 0; i < k; ++i) {
-            for (int j = i + 1; j < k; ++j) {
-                const int64_t w = defect_w[static_cast<size_t>(i) * ks + j];
-                if (w >= 0 &&
-                    (keep == nullptr ||
-                     keep[static_cast<size_t>(i) * ks + j])) {
-                    total += w;
-                }
-            }
-            if (boundary_dist[i] >= 0) {
-                total += boundary_dist[i];
-            }
-        }
-        const int64_t big = total + 1;
-        for (int i = 0; i < k; ++i) {
-            for (int j = i + 1; j < k; ++j) {
-                const int64_t w = defect_w[static_cast<size_t>(i) * ks + j];
-                if (w >= 0 &&
-                    (keep == nullptr ||
-                     keep[static_cast<size_t>(i) * ks + j])) {
-                    solver.set_weight(i, j, big - w);
-                }
-            }
-            if (boundary_dist[i] >= 0) {
-                solver.set_weight(i, k + i, big - boundary_dist[i]);
-            }
-            for (int j = i + 1; j < k; ++j) {
-                solver.set_weight(k + i, k + j, big);
-            }
-        }
-
-        const std::vector<int> mate = solver.solve();
-        mate_defect.assign(ks, -1);
-        for (int i = 0; i < k; ++i) {
-            BTWC_CHECK_MSG(mate[i] >= 0,
-                           "defect graph always admits a perfect matching");
-            // Matched to own boundary twin (twin-twin edges are only
-            // interconnected among themselves) or to another defect.
-            mate_defect[i] = mate[i] < k ? mate[i] : -1;
-        }
+        mates = &solver.mates();
     }
+    const std::vector<int> &mate_defect = *mates;
 
     // Path recovery. The fast walk reproduces the legacy parent
     // chains exactly: Dijkstra settles equal-distance nodes in node-id
@@ -477,7 +369,7 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
                 legacy_walk_back(i, scratch.boundary_node[i]);
             }
         } else {
-            pair_weight = defect_w[static_cast<size_t>(i) * ks + m];
+            pair_weight = metric.distance(i, m);
             if (fast) {
                 oracle_walk(i, events[m].check, events[m].round);
             } else {
@@ -492,7 +384,6 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
                  static_cast<int>(matches->path_data.size())});
         }
     }
-    return result;
 }
 
 } // namespace btwc

@@ -10,9 +10,10 @@
 namespace btwc {
 
 /**
- * Fast-path knobs of `MwpmDecoder` (all on by default; the legacy
- * configuration is the exact reference the property tests pin the
- * fast path against, bit-for-bit).
+ * Distance source of `MwpmDecoder`. The default answers distances from
+ * the precomputed oracle; the legacy configuration is the per-defect
+ * Dijkstra reference the property tests pin the oracle path against,
+ * bit-for-bit (both feed the same weights to the same matcher).
  */
 struct FastPathConfig
 {
@@ -30,58 +31,18 @@ struct FastPathConfig
      */
     bool distance_oracle = true;
 
-    /**
-     * Hand the blossom stage a sparse candidate edge set — per defect
-     * its nearest partners with boundary-dominated pairs pruned —
-     * instead of the complete defect graph. A dominated edge costs
-     * strictly more than the two boundary retirements it replaces, so
-     * it appears in *no* optimal matching: the pruning provably
-     * preserves the optimal-matching set, and the bit-exactness
-     * property tests pin that the solver's tie selection survives too
-     * (tests/test_fastpath.cpp, including a d = 13 / ~200-defect
-     * stress corpus). Boundary and twin edges are always kept, so a
-     * perfect matching always exists.
-     */
-    bool sparse_candidates = true;
-
-    /**
-     * Optional hard cap on candidate partners kept per defect;
-     * 0 (the default) means uncapped — domination pruning only,
-     * which is the bit-exact configuration. A positive cap bounds the
-     * candidate degree for very large instances but may select a
-     * *different equal-weight* matching once defect counts exceed it
-     * (observed from ~160 defects with knn = 16), so capped decoders
-     * trade the bit-exactness guarantee for bounded work — opt-in
-     * only.
-     */
-    int knn = 0;
-
-    /** The default: oracle distances + domination-pruned candidates. */
+    /** The default: oracle distances. */
     static FastPathConfig fast() { return FastPathConfig(); }
 
     /**
-     * Oracle distances over the complete defect graph: for decoders
-     * that serve as exact references themselves (`ExactDecoder`),
-     * where even provably-optimum-preserving pruning is unwanted in
-     * the rare blossom fallback.
-     */
-    static FastPathConfig oracle_only()
-    {
-        FastPathConfig config;
-        config.sparse_candidates = false;
-        return config;
-    }
-
-    /**
-     * The pre-oracle reference configuration: per-defect Dijkstra and
-     * the complete defect graph. Kept as the exact baseline the
-     * property tests (tests/test_fastpath.cpp) compare against.
+     * The pre-oracle reference configuration: per-defect Dijkstra.
+     * Kept as the exact baseline the property tests
+     * (tests/test_fastpath.cpp) compare against.
      */
     static FastPathConfig legacy()
     {
         FastPathConfig config;
         config.distance_oracle = false;
-        config.sparse_candidates = false;
         return config;
     }
 };
@@ -135,15 +96,20 @@ struct MwpmMatches
  * Defect pairwise distances come from the precomputed distance oracle
  * (surface/distance.hpp) under the default unit weights, or from
  * per-defect Dijkstra otherwise (see `FastPathConfig`); the pairing is
- * solved with the configured `Matcher` backend: the blossom algorithm
- * (each defect also gets a zero-cost-interconnected boundary twin, the
- * standard construction for codes with boundaries), or the brute-force
- * subset DP of matching/exact.hpp, which is exact by construction and
- * backs the `ExactDecoder` cross-validation tier.
+ * solved with the configured `Matcher` backend: the sparse blossom
+ * matcher of matching/sparse_blossom.hpp (regions grown around the
+ * defects, the boundary a single partner that absorbs any number of
+ * them), or the brute-force subset DP of matching/exact.hpp, which is
+ * exact by construction and backs the `ExactDecoder` cross-validation
+ * tier. Under `AuditLevel::Deep` every blossom solve re-checks its LP
+ * optimality certificate (`SparseBlossom::audit`).
  *
  * Hot-path contract: each decoder instance owns one persistent graph /
  * matcher scratch (grown once, reused by every `decode` and
- * `decode_batch` call), so steady-state decoding is allocation-free.
+ * `decode_batch` call), so steady-state `decode_matched` calls into a
+ * caller-owned `MwpmMatches` and `Result` are allocation-free
+ * (tests/alloc counts); `decode` allocates only the returned
+ * correction.
  * Instances are therefore not safe for concurrent `decode` calls from
  * multiple threads — the sharded Monte-Carlo engine gives every shard
  * its own decoder stack, which is the intended usage.
@@ -157,7 +123,7 @@ class MwpmDecoder : public Decoder
     /** Pairing engine used on the defect distance graph. */
     enum class Matcher : uint8_t
     {
-        Blossom = 0,  ///< O(V^3) primal-dual blossom (production path)
+        Blossom = 0,  ///< sparse primal-dual blossom (production path)
         ExactDp = 1,  ///< subset DP oracle; falls back to Blossom when
                       ///< the defect count exceeds its feasible range
     };
@@ -168,7 +134,7 @@ class MwpmDecoder : public Decoder
      * @param space_weight weight of space (data qubit) and boundary edges
      * @param time_weight  weight of time (measurement) edges
      * @param matcher      pairing engine (see Matcher)
-     * @param fast         fast-path knobs (see FastPathConfig)
+     * @param fast         distance source (see FastPathConfig)
      *
      * Unit weights are exact for the paper's p_data == p_meas model;
      * for asymmetric noise pass log-likelihood weights (see
@@ -210,19 +176,21 @@ class MwpmDecoder : public Decoder
      * (overwritten; capacity reused): one entry per matched pair or
      * boundary retirement, each event index appearing in exactly one
      * entry, with the data-qubit path of that pair's correction. The
-     * Result is bit-identical to `decode` on the same input — the
-     * match record is filled inside the same path-recovery walk the
-     * plain decode runs (see MwpmMatches).
+     * Result, written into the caller-owned `out` (every field
+     * overwritten, capacity reused), is bit-identical to `decode` on
+     * the same input — the match record is filled inside the same
+     * path-recovery walk the plain decode runs (see MwpmMatches).
      */
-    Result decode_matched(const std::vector<DetectionEvent> &events,
-                          int rounds, MwpmMatches &matches) const;
+    void decode_matched(const std::vector<DetectionEvent> &events,
+                        int rounds, MwpmMatches &matches,
+                        Result &out) const;
 
   private:
     struct Scratch;
 
-    Result decode_impl(const std::vector<DetectionEvent> &events,
-                       int rounds, Scratch &scratch,
-                       MwpmMatches *matches = nullptr) const;
+    void decode_impl(const std::vector<DetectionEvent> &events,
+                     int rounds, Scratch &scratch, Result &result,
+                     MwpmMatches *matches = nullptr) const;
 
     int node_id(int check, int round) const { return round * num_checks_ + check; }
 
@@ -235,8 +203,8 @@ class MwpmDecoder : public Decoder
     FastPathConfig fast_;
     /**
      * Persistent per-instance working set (graph arrays + the pooled
-     * blossom matcher); every decode entry point routes through it, so
-     * single-shot `decode()` calls — the dominant `BtwcSystem`
+     * sparse blossom matcher); every decode entry point routes through
+     * it, so single-shot `decode()` calls — the dominant `BtwcSystem`
      * per-cycle path — reuse grown capacity instead of reallocating.
      * Mutated under `const` decode; see the class comment for the
      * (non-)thread-safety contract.

@@ -1,4 +1,4 @@
-#include "matching/blossom.hpp"
+#include "oracles/blossom.hpp"
 
 #include <algorithm>
 

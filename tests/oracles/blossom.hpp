@@ -7,7 +7,8 @@
 namespace btwc {
 
 /**
- * Maximum-weight matching in a general graph, O(V^3).
+ * Maximum-weight matching in a general graph, O(V^3) — a test-only
+ * dense oracle, never linked into the library.
  *
  * Classic primal-dual weighted blossom algorithm (Galil's exposition):
  * dual variables on vertices and (shrunken) odd cycles, alternating
@@ -16,10 +17,13 @@ namespace btwc {
  * edge". The implementation doubles all weights internally so that all
  * dual variables stay integral.
  *
- * This is the engine behind the paper's off-chip Minimum Weight
- * Perfect Matching decoder [19]; `min_weight_perfect_matching` below
- * performs the standard reduction. Correctness is property-tested
- * against the brute-force oracle in `matching/exact.hpp`.
+ * It was the engine of the off-chip Minimum Weight Perfect Matching
+ * decoder [19] before the sparse blossom matcher
+ * (matching/sparse_blossom.hpp) replaced it; the differential tests
+ * now solve the same instances with both, using the boundary-twin
+ * reduction `min_weight_perfect_matching` below performs.
+ * Correctness is property-tested against the brute-force oracle in
+ * `matching/exact.hpp`.
  */
 class MaxWeightMatching
 {

@@ -1,9 +1,9 @@
 /**
  * @file
- * Property tests for the blossom matcher: structural validity plus
- * optimality against the brute-force subset-DP oracle on hundreds of
- * random instances, including the boundary-twin construction used by
- * the MWPM decoder.
+ * Property tests for the dense blossom oracle (tests/oracles): structural
+ * validity plus optimality against the brute-force subset-DP oracle on
+ * hundreds of random instances, including the boundary-twin construction
+ * the sparse blossom matcher is compared against.
  */
 
 #include <gtest/gtest.h>
@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "matching/blossom.hpp"
 #include "matching/exact.hpp"
+#include "oracles/blossom.hpp"
 
 namespace btwc {
 namespace {
@@ -169,8 +169,8 @@ INSTANTIATE_TEST_SUITE_P(Sizes, BlossomSparse,
 
 TEST(Blossom, BoundaryTwinConstructionMatchesOracle)
 {
-    // The exact structure the MWPM decoder builds: k defects with
-    // pairwise distances, k boundary twins, twin-twin edges free.
+    // The structure the oracle tests solve: k defects with pairwise
+    // distances, k boundary twins, twin-twin edges free.
     Rng rng(4242);
     for (int iter = 0; iter < 120; ++iter) {
         const int k = 2 + static_cast<int>(rng.next_below(7));

@@ -24,7 +24,7 @@
 #include "core/offchip_queue.hpp"
 #include "core/offchip_service.hpp"
 #include "decoders/tier_chain.hpp"
-#include "matching/blossom.hpp"
+#include "oracles/blossom.hpp"
 #include "surface/distance.hpp"
 #include "surface/lattice.hpp"
 #include "surface/packed.hpp"

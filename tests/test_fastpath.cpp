@@ -1,11 +1,10 @@
 /**
  * @file
  * Tests for the decode hot path: the precomputed distance oracle
- * (surface/distance.hpp), the oracle-backed MWPM fast path and its
- * sparse candidate-edge matcher — pinned *bit-exact* against the
- * legacy per-defect Dijkstra + complete-graph solve — the pooled
- * blossom scratch (`MaxWeightMatching::reset`), the persistent
- * per-decoder scratch, and the `LookupTableDecoder` (`lut`) tier.
+ * (surface/distance.hpp), the oracle-backed MWPM fast path — pinned
+ * *bit-exact* against the legacy per-defect Dijkstra, which feeds the
+ * same weights to the same matcher — the persistent per-decoder
+ * scratch, and the `LookupTableDecoder` (`lut`) tier.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 #include "decoders/exact_decoder.hpp"
 #include "decoders/lookup_table.hpp"
 #include "decoders/tier_chain.hpp"
-#include "matching/blossom.hpp"
 #include "matching/mwpm.hpp"
 #include "surface/distance.hpp"
 #include "surface/frame.hpp"
@@ -190,30 +188,18 @@ TEST(MwpmFastPath, DefaultConfigBitExactWithLegacy)
 
 TEST(MwpmFastPath, OracleAloneBitExactWithLegacy)
 {
+    // The oracle path on a second corpus: only the distance source
+    // differs from the legacy configuration.
     FastPathConfig probe;
-    probe.sparse_candidates = false;
+    probe.distance_oracle = true;
     expect_bit_exact_with_legacy(probe, MwpmDecoder::Matcher::Blossom,
                                  77);
 }
 
-TEST(MwpmFastPath, KnnCappedBitExactOnModerateInstances)
-{
-    // The opt-in degree cap agrees with the complete-graph solve on
-    // moderate defect counts (the guarantee stops at very large
-    // instances — see the high-defect stress test below).
-    FastPathConfig probe;
-    probe.knn = 16;
-    expect_bit_exact_with_legacy(probe, MwpmDecoder::Matcher::Blossom,
-                                 154);
-}
-
 TEST(MwpmFastPath, DefaultConfigBitExactAtHighDefectCounts)
 {
-    // The regression the knn default of 0 (domination-only pruning)
-    // pins: a hard kNN cap selects a different equal-weight matching
-    // from ~160 defects up, while pure domination pruning — which
-    // removes only edges provably in no optimal matching — stays
-    // bit-exact. Windows here reach ~200 defects.
+    // Large windows (~140-200 defects) through both distance sources:
+    // many blossoms and long augmenting paths, same matching.
     const int d = 13;
     const RotatedSurfaceCode code(d);
     const int rounds = d + 1;
@@ -221,10 +207,6 @@ TEST(MwpmFastPath, DefaultConfigBitExactAtHighDefectCounts)
     const MwpmDecoder legacy(code, CheckType::Z, 1, 1,
                              MwpmDecoder::Matcher::Blossom,
                              FastPathConfig::legacy());
-    FastPathConfig capped;
-    capped.knn = 16;
-    const MwpmDecoder knn_capped(code, CheckType::Z, 1, 1,
-                                 MwpmDecoder::Matcher::Blossom, capped);
     Rng rng(99);
     int decoded = 0;
     for (int iter = 0; iter < 40 && decoded < 4; ++iter) {
@@ -239,12 +221,6 @@ TEST(MwpmFastPath, DefaultConfigBitExactAtHighDefectCounts)
         ASSERT_EQ(a.weight, b.weight)
             << "iter=" << iter << " k=" << events.size();
         ASSERT_EQ(a.correction, b.correction)
-            << "iter=" << iter << " k=" << events.size();
-        // The capped matcher solves a subgraph: its matching can never
-        // beat the optimum (equality is not guaranteed — that is why
-        // the cap is opt-in).
-        const auto c = knn_capped.decode(events, rounds);
-        ASSERT_GE(c.weight, b.weight)
             << "iter=" << iter << " k=" << events.size();
     }
     ASSERT_EQ(decoded, 4) << "stress corpus must reach large windows";
@@ -314,75 +290,6 @@ TEST(MwpmFastPath, BatchMatchesLoopThroughSharedScratch)
         ASSERT_EQ(batched[i].weight, single.weight) << i;
         ASSERT_EQ(batched[i].correction, single.correction) << i;
     }
-}
-
-// -------------------------------------------- pooled blossom scratch
-
-TEST(BlossomReset, PooledSolverMatchesFreshAcrossRandomInstances)
-{
-    // The regression this pins: a reused solver must be
-    // indistinguishable from a freshly constructed one even when
-    // instance sizes shrink and grow (blossom-slot rows keep stale
-    // edge *endpoints* unless reset restores them).
-    Rng rng(42);
-    MaxWeightMatching pooled;
-    for (int iter = 0; iter < 400; ++iter) {
-        const int k = 1 + static_cast<int>(rng.next_below(10));
-        const int n = 2 * k;
-        std::vector<std::vector<int64_t>> w(
-            n, std::vector<int64_t>(n, -1));
-        for (int i = 0; i < k; ++i) {
-            for (int j = i + 1; j < k; ++j) {
-                if (rng.bernoulli(0.7)) {
-                    const int64_t x =
-                        1 + static_cast<int64_t>(rng.next_below(20));
-                    w[i][j] = w[j][i] = x;
-                }
-                w[k + i][k + j] = w[k + j][k + i] = 0;
-            }
-            const int64_t b =
-                1 + static_cast<int64_t>(rng.next_below(10));
-            w[i][k + i] = w[k + i][i] = b;
-        }
-        int64_t total = 0;
-        for (int u = 0; u < n; ++u) {
-            for (int v = u + 1; v < n; ++v) {
-                if (w[u][v] >= 0) {
-                    total += w[u][v];
-                }
-            }
-        }
-        const int64_t big = total + 1;
-        pooled.reset(n);
-        MaxWeightMatching fresh(n);
-        for (int u = 0; u < n; ++u) {
-            for (int v = u + 1; v < n; ++v) {
-                if (w[u][v] >= 0) {
-                    pooled.set_weight(u, v, big - w[u][v]);
-                    fresh.set_weight(u, v, big - w[u][v]);
-                }
-            }
-        }
-        const std::vector<int> mf = fresh.solve();
-        const std::vector<int> mp = pooled.solve();
-        ASSERT_EQ(mp, mf) << "iter=" << iter << " n=" << n;
-        ASSERT_EQ(pooled.total_weight(), fresh.total_weight())
-            << "iter=" << iter;
-    }
-}
-
-TEST(BlossomReset, ResetZeroAndRegrowIsSafe)
-{
-    MaxWeightMatching solver;
-    solver.reset(0);
-    EXPECT_TRUE(solver.solve().empty());
-    solver.reset(2);
-    solver.set_weight(0, 1, 5);
-    const std::vector<int> mate = solver.solve();
-    ASSERT_EQ(mate.size(), 2u);
-    EXPECT_EQ(mate[0], 1);
-    EXPECT_EQ(mate[1], 0);
-    EXPECT_EQ(solver.total_weight(), 5);
 }
 
 // ---------------------------------------------- the lookup-table tier
