@@ -288,9 +288,9 @@ BENCHMARK(BM_SpacetimeMwpmWindow)->Arg(5)->Arg(9)->Arg(11);
  * oracle + sparse blossom matcher + pooled per-instance scratch —
  * against the legacy per-defect Dijkstra feeding the same matcher
  * (bit-exact results, tests/test_fastpath.cpp). /5 covers the small
- * windows of the fabric-chaos and pipeline-d21 escalations, /21 the
- * ~250-defect windows where the dense blossom used to spend 10 ms; see
- * the archived BENCH_decoders.json for the measured trajectory.
+ * windows of the fabric-chaos and pipeline-d21 escalations, /21 windows
+ * of a few hundred defects; see the archived BENCH_decoders.json for
+ * the measured trajectory.
  */
 void
 run_single_decode(benchmark::State &state, const FastPathConfig &config)

@@ -147,6 +147,7 @@ StreamWindowDecoder::steady_state_bytes() const
     bytes += origin_.capacity() * sizeof(uint64_t);
     bytes += matches_.pairs.capacity() * sizeof(MwpmMatches::Pair);
     bytes += matches_.path_data.capacity() * sizeof(int);
+    bytes += matched_result_.correction.capacity();
     bytes += static_cast<size_t>(prev_raw_.num_words() +
                                  committed_.num_words() +
                                  audit_mask_.num_words()) *

@@ -1,6 +1,5 @@
 #include "matching/mwpm.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <limits>

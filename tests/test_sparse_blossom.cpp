@@ -39,20 +39,26 @@ struct Instance
     int size() const { return static_cast<int>(boundary.size()); }
 };
 
+/** An n x n matrix filled with `fill`. */
+template <typename T>
+std::vector<std::vector<T>>
+square(int n, T fill)
+{
+    return std::vector<std::vector<T>>(
+        static_cast<size_t>(n), std::vector<T>(static_cast<size_t>(n), fill));
+}
+
 /** Dense oracle: boundary twins with zero-cost twin-twin edges. */
 int64_t
 dense_weight(const Instance &inst)
 {
     const int k = inst.size();
     const int n = 2 * k;
-    std::vector<std::vector<int64_t>> w(
-        static_cast<size_t>(n), std::vector<int64_t>(static_cast<size_t>(n), -1));
+    std::vector<std::vector<int64_t>> w = square<int64_t>(n, -1);
     for (int i = 0; i < k; ++i) {
         for (int j = 0; j < k; ++j) {
             if (i != j) {
                 w[i][j] = inst.w[i][j];
-            }
-            if (i != j) {
                 w[k + i][k + j] = 0;
             }
         }
@@ -76,8 +82,7 @@ int64_t
 exact_weight(const Instance &inst)
 {
     const int k = inst.size();
-    std::vector<std::vector<int64_t>> w(
-        static_cast<size_t>(k), std::vector<int64_t>(static_cast<size_t>(k), -1));
+    std::vector<std::vector<int64_t>> w = square<int64_t>(k, -1);
     for (int i = 0; i < k; ++i) {
         for (int j = 0; j < k; ++j) {
             if (i != j) {
@@ -126,7 +131,7 @@ Instance
 random_instance(int k, int max_w, double edge_p, Rng &rng)
 {
     Instance inst;
-    inst.w.assign(static_cast<size_t>(k), std::vector<int>(static_cast<size_t>(k), -1));
+    inst.w = square<int>(k, -1);
     inst.boundary.assign(static_cast<size_t>(k), -1);
     for (int i = 0; i < k; ++i) {
         for (int j = i + 1; j < k; ++j) {
@@ -204,7 +209,7 @@ TEST(SparseBlossom, AllBoundaryInstances)
     for (int iter = 0; iter < 50; ++iter) {
         const int k = 1 + static_cast<int>(rng.next_below(16));
         Instance inst;
-        inst.w.assign(static_cast<size_t>(k), std::vector<int>(static_cast<size_t>(k), -1));
+        inst.w = square<int>(k, -1);
         inst.boundary.assign(static_cast<size_t>(k), 0);
         for (int i = 0; i < k; ++i) {
             inst.boundary[i] = 1 + static_cast<int64_t>(rng.next_below(3));
@@ -267,7 +272,7 @@ spacetime_instance(const RotatedSurfaceCode &code, CheckType detector,
     const CheckGraphDistances &oracle = code.check_distances(detector);
     const int k = static_cast<int>(events.size());
     Instance inst;
-    inst.w.assign(static_cast<size_t>(k), std::vector<int>(static_cast<size_t>(k), -1));
+    inst.w = square<int>(k, -1);
     inst.boundary.assign(static_cast<size_t>(k), -1);
     for (int i = 0; i < k; ++i) {
         inst.boundary[i] =
@@ -297,7 +302,8 @@ expect_clears_syndrome(const RotatedSurfaceCode &code, CheckType detector,
     frame.apply_mask(fix.correction);
     std::vector<uint8_t> syndrome;
     frame.measure_perfect(syndrome);
-    std::vector<uint8_t> parity(static_cast<size_t>(code.num_checks(detector)), 0);
+    std::vector<uint8_t> parity(
+        static_cast<size_t>(code.num_checks(detector)), 0);
     for (const DetectionEvent &e : events) {
         parity[static_cast<size_t>(e.check)] ^= 1;
     }
