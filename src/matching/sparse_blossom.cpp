@@ -59,20 +59,18 @@ SparseBlossom::solve(const DefectMetric &metric)
         std::pop_heap(heap_.begin(), heap_.end(), std::greater<Event>());
         const Event e = heap_.back();
         heap_.pop_back();
-        const Region &g = reg(e.region);
-        if (!g.alive || g.blossom >= 0 || g.scan_id != e.scan_id) {
+        if (!top_level(e.region) || reg(e.region).scan_id != e.scan_id) {
             continue;  // superseded by a later scan of the same region
         }
         if (e.other >= 0) {
-            const Region &o = reg(e.other);
-            if (!o.alive || o.blossom >= 0 || o.stamp != e.other_stamp) {
+            if (!top_level(e.other) || reg(e.other).stamp != e.other_stamp) {
                 scan(e.region);  // the partner changed: look again
                 continue;
             }
         }
         BTWC_DCHECK(e.at >= now_);
         now_ = e.at;
-        switch (e.kind) {
+        switch (e.kind()) {
         case kBoundary:
             augment(e.region, kBoundaryMate, e.v_region, -1);
             dissolve(reg(e.region).tree);
@@ -89,9 +87,8 @@ SparseBlossom::solve(const DefectMetric &metric)
             mark_pending(e.other);
         }
         for (const int r : pending_) {
-            Region &p = reg(r);
-            p.pending = false;
-            if (p.alive && p.blossom < 0) {
+            reg(r).pending = false;
+            if (top_level(r)) {
                 scan(r);
             }
         }
@@ -101,7 +98,7 @@ SparseBlossom::solve(const DefectMetric &metric)
     int64_t total = 0;
     for (int r = 0; r < static_cast<int>(regions_.size()); ++r) {
         const Region &g = reg(r);
-        if (g.alive && g.blossom < 0) {
+        if (top_level(r)) {
             assign(r, g.match_self,
                    g.match == kBoundaryMate ? -1 : g.match_other);
         }
@@ -212,7 +209,6 @@ SparseBlossom::boundary_event(int r, int v, int64_t at) const
 {
     Event e;
     e.at = at;
-    e.kind = kBoundary;
     e.region = r;
     e.scan_id = reg(r).scan_id;
     e.v_region = v;
@@ -226,7 +222,6 @@ SparseBlossom::collision(int r, int v, int s, int u, int64_t at) const
 {
     Event e;
     e.at = at;
-    e.kind = kCollide;
     e.region = r;
     e.scan_id = reg(r).scan_id;
     e.other = s;
@@ -254,7 +249,6 @@ SparseBlossom::scan(int r)
         // constant gap; an inner blossom's one event is shrinking away.
         if (r >= k_) {
             best.at = now_ + radius(r);
-            best.kind = kShatter;
             best.region = r;
             best.scan_id = g.scan_id;
             best.order = uint64_t{kShatter} << 62 |

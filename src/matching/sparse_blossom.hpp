@@ -143,7 +143,6 @@ class SparseBlossom
         int64_t at = 0;
         uint64_t order = 0;
         uint64_t defects = 0;
-        uint8_t kind = kCollide;
         int region = -1;   ///< region whose scan produced the event
         int other = -1;    ///< collision partner region, else -1
         int v_region = -1; ///< defect of `region` on the edge
@@ -151,6 +150,7 @@ class SparseBlossom
         int scan_id = 0;   ///< `region`'s scan that produced it
         int other_stamp = 0;
 
+        EventKind kind() const { return EventKind(order >> 62); }
         bool operator>(const Event &other) const;
     };
 
@@ -205,6 +205,10 @@ class SparseBlossom
     const CycleEntry &cycle_entry(const Region &blossom, int idx) const
     {
         return cycles_[static_cast<size_t>(blossom.cycle_begin + idx)];
+    }
+    bool top_level(int r) const
+    {
+        return reg(r).alive && reg(r).blossom < 0;
     }
     int64_t radius(int r) const
     {
