@@ -90,7 +90,8 @@ exact_weight(const Instance &inst)
             }
         }
     }
-    return exact_min_weight_with_boundary(k, w, inst.boundary);
+    std::vector<int> mates;
+    return exact_min_weight_with_boundary_mates(k, w, inst.boundary, mates);
 }
 
 /**
@@ -140,7 +141,18 @@ random_instance(int k, int max_w, double edge_p, Rng &rng)
                 inst.w[i][j] = inst.w[j][i] = x;
             }
         }
-        inst.boundary[i] = 1 + static_cast<int64_t>(rng.next_below(max_w));
+        inst.boundary[i] = static_cast<int64_t>(rng.next_below(max_w + 1));
+    }
+    // Some defects cannot reach the boundary; each keeps a partner edge
+    // so a matching still exists.
+    for (int i = 0; i < k; ++i) {
+        bool has_edge = false;
+        for (int j = 0; j < k; ++j) {
+            has_edge = has_edge || inst.w[i][j] >= 0;
+        }
+        if (has_edge && rng.bernoulli(0.1)) {
+            inst.boundary[i] = -1;
+        }
     }
     return inst;
 }
@@ -173,8 +185,9 @@ TEST(SparseBlossom, PairBeatsTwoBoundaries)
 
 TEST(SparseBlossom, RandomNonMetricWeightsMatchBothOracles)
 {
-    // Arbitrary (non-metric) weights, zero-weight edges, missing edges
-    // and small weight ranges that force dense ties and blossoms.
+    // Arbitrary (non-metric) weights, zero-weight edges, missing edges,
+    // unreachable or free boundaries, and small weight ranges that force
+    // dense ties and blossoms.
     Rng rng(2024);
     SparseBlossom solver;
     for (int iter = 0; iter < 1500; ++iter) {
@@ -182,8 +195,14 @@ TEST(SparseBlossom, RandomNonMetricWeightsMatchBothOracles)
         const int max_w = 1 + static_cast<int>(rng.next_below(12));
         const double edge_p = 0.3 + 0.7 * rng.next_double();
         const Instance inst = random_instance(k, max_w, edge_p, rng);
+        const int64_t want = exact_weight(inst);
+        if (want < 0) {
+            // No matching exists: the solver must say so.
+            EXPECT_THROW(sparse_weight(inst, solver), CheckFailure);
+            continue;
+        }
         const int64_t got = sparse_weight(inst, solver);
-        ASSERT_EQ(got, exact_weight(inst)) << "iter=" << iter << " k=" << k;
+        ASSERT_EQ(got, want) << "iter=" << iter << " k=" << k;
         ASSERT_EQ(got, dense_weight(inst)) << "iter=" << iter << " k=" << k;
     }
 }
